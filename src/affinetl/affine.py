@@ -205,12 +205,16 @@ def update_block(which: str, state, K1, K2, K3, y, config: FitConfig):
 def fit_constrained(K1, K3, y, lambda1: float, lambda3: float):
     """Joint closed-form solution for the g2 = 1 variant.
 
-    Solves the stacked (2n+1) x (2n+1) system
+    Minimizes ||y - K1 a - K3 c - d||^2 + lambda1 a'K1a + lambda3 c'K3c.
+    At a minimizer a = r / lambda1 and c = r / lambda3 for the residual r,
+    which solves the (n+1) system
 
-        ([K1; K3; 1'] [K1 K3 1] + blockdiag(lambda1 K1, lambda3 K3, 0)) (a,c,d)
-            = [K1; K3; 1'] y
+        (I + K1/lambda1 + K3/lambda3) r + d 1 = y,    1'r = 0.
 
-    and returns (a, c, d).
+    With M = I + K1/lambda1 + K3/lambda3 (SPD, eigenvalues >= 1), r = u - d v
+    for M u = y, M v = 1 and d = 1'u / 1'v.  Unlike the stacked (2n+1)
+    normal equations in (a, c, d), this stays well conditioned for small
+    lambdas.  Returns (a, c, d).
     """
     K1 = np.asarray(K1, dtype=float)
     K3 = np.asarray(K3, dtype=float)
@@ -218,12 +222,11 @@ def fit_constrained(K1, K3, y, lambda1: float, lambda3: float):
     n = y.shape[0]
     if K1.shape != (n, n) or K3.shape != (n, n):
         raise ValueError("K1, K3 must be n x n matching y")
-    B = np.hstack([K1, K3, np.ones((n, 1))])
-    G = B.T @ B
-    G[:n, :n] += lambda1 * K1
-    G[n : 2 * n, n : 2 * n] += lambda3 * K3
-    theta = solve_spd(G, B.T @ y)
-    return theta[:n], theta[n : 2 * n], float(theta[2 * n])
+    M = np.eye(n) + K1 / lambda1 + K3 / lambda3
+    u, v = solve_spd(M, np.column_stack([y, np.ones(n)])).T
+    d = float(u.sum() / v.sum())
+    r = u - d * v
+    return r / lambda1, r / lambda3, d
 
 
 def _update_ratio(new: np.ndarray, old: np.ndarray) -> float:

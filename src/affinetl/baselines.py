@@ -24,7 +24,15 @@ import numpy as np
 from .kernels import KernelSpec, gram
 from .solvers import ridge_solve
 
-__all__ = ["KINDS", "KRRStage", "BaselineModel", "fit_baseline", "predict_baseline"]
+__all__ = [
+    "KINDS",
+    "KRRStage",
+    "BaselineModel",
+    "fit_baseline",
+    "predict_baseline",
+    "single_stage_inputs",
+    "scale_target",
+]
 
 KINDS = ("direct", "only_source", "augmented", "htl_offset", "htl_scale")
 
@@ -33,6 +41,26 @@ _SINGLE_STAGE = ("direct", "only_source", "augmented")
 # Stage-1 predictions closer to zero than this make the scale transform
 # y / g1hat numerically meaningless.
 _SCALE_GUARD = 1e-8
+
+
+def single_stage_inputs(kind: str, X, Fs) -> np.ndarray:
+    """The rows the one KRR of a single-stage kind regresses on."""
+    if kind == "direct":
+        return X
+    if kind == "only_source":
+        return Fs
+    return np.hstack([X, Fs])
+
+
+def scale_target(y, g1) -> np.ndarray:
+    """The htl_scale stage-2 target y / g1, refused where g1 is near zero."""
+    small = np.flatnonzero(np.abs(g1) < _SCALE_GUARD)
+    if small.size:
+        raise ZeroDivisionError(
+            f"htl_scale: stage-1 prediction within {_SCALE_GUARD:g} of zero "
+            f"at row {small[0]} (|g1| = {abs(g1[small[0]]):.3e})"
+        )
+    return y / g1
 
 
 @dataclass
@@ -92,12 +120,8 @@ def fit_baseline(
     if X.shape[0] != y.shape[0] or Fs.shape[0] != y.shape[0]:
         raise ValueError("X, Fs, y must have the same number of rows")
 
-    if kind == "direct":
-        return BaselineModel(kind, _fit_krr(spec, X, y, shrink))
-    if kind == "only_source":
-        return BaselineModel(kind, _fit_krr(spec, Fs, y, shrink))
-    if kind == "augmented":
-        return BaselineModel(kind, _fit_krr(spec, np.hstack([X, Fs]), y, shrink))
+    if kind in _SINGLE_STAGE:
+        return BaselineModel(kind, _fit_krr(spec, single_stage_inputs(kind, X, Fs), y, shrink))
 
     if stage2_spec is None or stage2_shrink is None:
         raise ValueError(f"{kind} requires stage2_spec and stage2_shrink")
@@ -106,13 +130,7 @@ def fit_baseline(
     if kind == "htl_offset":
         z = y - g1
     else:  # htl_scale
-        small = np.flatnonzero(np.abs(g1) < _SCALE_GUARD)
-        if small.size:
-            raise ZeroDivisionError(
-                f"htl_scale: stage-1 prediction within {_SCALE_GUARD:g} of zero "
-                f"at row {small[0]} (|g1| = {abs(g1[small[0]]):.3e})"
-            )
-        z = y / g1
+        z = scale_target(y, g1)
     stage2 = _fit_krr(stage2_spec, X, z, stage2_shrink)
     return BaselineModel(kind, stage1, stage2)
 
@@ -128,12 +146,8 @@ def predict_baseline(model: BaselineModel, Xnew, FsNew) -> np.ndarray:
     if Xnew.shape[0] != FsNew.shape[0]:
         raise ValueError("Xnew and FsNew must have the same number of rows")
     kind = model.kind
-    if kind == "direct":
-        return model.stage1.predict(Xnew)
-    if kind == "only_source":
-        return model.stage1.predict(FsNew)
-    if kind == "augmented":
-        return model.stage1.predict(np.hstack([Xnew, FsNew]))
+    if kind in _SINGLE_STAGE:
+        return model.stage1.predict(single_stage_inputs(kind, Xnew, FsNew))
     g1 = model.stage1.predict(FsNew)
     g3 = model.stage2.predict(Xnew)
     return g1 + g3 if kind == "htl_offset" else g1 * g3

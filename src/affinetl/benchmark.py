@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affine import FitConfig, fit, predict
-from .baselines import fit_baseline, predict_baseline
+from .baselines import fit_baseline, predict_baseline, scale_target, single_stage_inputs
 from .data import Dataset
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gram
 from .model_selection import (
     AFFINE_CONSTRAINED_GRID,
     AFFINE_FULL_GRID,
@@ -28,6 +28,7 @@ from .model_selection import (
     grid_search_cv,
     rmse,
 )
+from .solvers import ridge_solve
 
 __all__ = [
     "PROCEDURES",
@@ -124,33 +125,50 @@ def _length_scales(rule: str, dim_x: int, dim_fs: int) -> dict[str, float]:
     return {"x": ell_x, "fs": ell_fs, "aug": ell_aug, "g3": ell_g3}
 
 
-def _cv_krr(kind, train: Dataset, folds, seed, spec, stage2_spec, config) -> float:
+def _krr_path(spec: KernelSpec, Ztr, Zte, z):
+    """Test predictions of KRR on (Ztr, z) as a function of the shrink.
+
+    One eigendecomposition K = V diag(mu) V' of the training Gram turns
+    every shrink into an O(n^2) product, K_te,tr V diag(1 / (mu + s)) V' z
+    (Rifkin & Lippert 2007, "Notes on regularized least squares").
+    """
+    mu, V = np.linalg.eigh(gram(spec, Ztr).values)
+    A = gram(spec, Zte, Ztr).values @ V
+    b = V.T @ z
+    return lambda shrink: A @ (b / (mu + shrink))
+
+
+def _cv_krr(kind, train: Dataset, folds, seed, spec) -> float:
     """CV the single shrink of a one-stage baseline; returns best shrink."""
 
-    def fitter(params, X, Fs, y):
-        model = fit_baseline(kind, X, Fs, y, spec, params["shrink"],
-                             stage2_spec=stage2_spec, stage2_shrink=params.get("shrink2"))
-        return lambda Xt, Ft: predict_baseline(model, Xt, Ft)
+    def fitter(X, Fs, y, Xt, Ft):
+        path = _krr_path(spec, single_stage_inputs(kind, X, Fs),
+                         single_stage_inputs(kind, Xt, Ft), y)
+        return lambda params: path(params["shrink"])
 
     res = grid_search_cv(fitter, KRR_SHRINK_GRID, train.X, train.Fs, train.y,
                          k=folds, seed=seed)
     return res.best_params["shrink"]
 
 
-def _fit_two_stage(kind, train: Dataset, folds, seed, spec_fs, spec_x, config):
+def _fit_two_stage(kind, train: Dataset, folds, seed, spec_fs, spec_x):
     """Stage-wise CV for the offset/scale procedures.
 
     Stage 1 picks its shrink by CV of the fs -> y regression alone; stage 2
     then CVs the x -> transformed-target regression built on a stage-1 model
-    refit per fold.
+    refit per fold, as ``fit_baseline`` fits it.
     """
-    shrink1 = _cv_krr("only_source", train, folds, child_seed(seed, "stage1"),
-                      spec_fs, None, config)
+    shrink1 = _cv_krr("only_source", train, folds, child_seed(seed, "stage1"), spec_fs)
 
-    def fitter(params, X, Fs, y):
-        model = fit_baseline(kind, X, Fs, y, spec_fs, shrink1,
-                             stage2_spec=spec_x, stage2_shrink=params["shrink"])
-        return lambda Xt, Ft: predict_baseline(model, Xt, Ft)
+    def fitter(X, Fs, y, Xt, Ft):
+        K1 = gram(spec_fs, Fs).values
+        coef = ridge_solve(K1, y, shrink1)
+        g1, g1_test = K1 @ coef, gram(spec_fs, Ft, Fs).values @ coef
+        if kind == "htl_offset":
+            path = _krr_path(spec_x, X, Xt, y - g1)
+            return lambda params: g1_test + path(params["shrink"])
+        path = _krr_path(spec_x, X, Xt, scale_target(y, g1))
+        return lambda params: g1_test * path(params["shrink"])
 
     res = grid_search_cv(fitter, KRR_SHRINK_GRID, train.X, train.Fs, train.y,
                          k=folds, seed=child_seed(seed, "stage2"))
@@ -171,9 +189,8 @@ def _fit_affine(variant, train: Dataset, folds, seed, specs, config):
             scale_convention=config.scale_convention,
         )
 
-    def fitter(params, X, Fs, y):
-        model, _ = fit(make_config(params), X, Fs, y, specs)
-        return lambda Xt, Ft: predict(model, Xt, Ft)
+    def fitter(X, Fs, y, Xt, Ft):
+        return lambda params: predict(fit(make_config(params), X, Fs, y, specs)[0], Xt, Ft)
 
     res = grid_search_cv(fitter, grid, train.X, train.Fs, train.y,
                          k=folds, seed=child_seed(seed, "cv"))
@@ -208,11 +225,11 @@ def _run_cell(dataset: Dataset, test_pool: Dataset | None, proc: str, n: int,
 
     if proc in ("direct", "only_source", "augmented"):
         spec = {"direct": spec_x, "only_source": spec_fs, "augmented": spec_aug}[proc]
-        shrink = _cv_krr(proc, train, folds, child_seed(seed, "cv"), spec, None, config)
+        shrink = _cv_krr(proc, train, folds, child_seed(seed, "cv"), spec)
         model = fit_baseline(proc, train.X, train.Fs, train.y, spec, shrink)
         yhat = predict_baseline(model, test.X, test.Fs)
     elif proc in ("htl_offset", "htl_scale"):
-        model = _fit_two_stage(proc, train, folds, seed, spec_fs, spec_x, config)
+        model = _fit_two_stage(proc, train, folds, seed, spec_fs, spec_x)
         yhat = predict_baseline(model, test.X, test.Fs)
     else:
         variant = "constrained" if proc == "affine_const" else "full_with_intercept"

@@ -109,9 +109,10 @@ def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
                                cv_folds: int = 5, full_cv: bool = False):
     """Fit the three calibration models over seeded train/test splits.
 
-    Returns (rmse_rows, gamma_rows): per-split RMSE for the line fit, the
-    residual ridge model, and the full model, plus the across-split mean of
-    the full model's gamma, one row per (block, index).
+    Returns (rmse_rows, gamma_rows, traces): per-split RMSE for the line
+    fit, the residual ridge model, and the full model, the across-split mean
+    of the full model's gamma, one row per (block, index), and the full
+    model's ``FitTrace`` per split.
 
     The fused penalty weights are cross-validated on the residual model's
     predictions each split; the full model reuses that choice unless
@@ -127,6 +128,7 @@ def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
         raise ValueError(f"need more than {train_size} rows, have {ds.n}")
     rows = []
     gammas = []
+    traces = []
     for split in range(splits):
         rng = np.random.default_rng(child_seed(seed, "calibration", split))
         perm = rng.permutation(ds.n)
@@ -138,9 +140,12 @@ def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
         a0, a1 = fit_olr(fs_tr, train.y)
         rows.append(("olr", split, rmse(a0 + a1 * fs_te, test.y)))
 
-        def diff_fitter(params, X, Fs, y):
-            gamma = fit_log_difference(X, Fs[:, 0], y, params["l1"], params["l2"], layout)
-            return lambda Xt, Ft: Ft[:, 0] + Xt @ gamma
+        def diff_fitter(X, Fs, y, Xt, Ft):
+            def predict_point(params):
+                gamma = fit_log_difference(X, Fs[:, 0], y, params["l1"], params["l2"], layout)
+                return Ft[:, 0] + Xt @ gamma
+
+            return predict_point
 
         cv = grid_search_cv(diff_fitter, grid, train.X, train.Fs, train.y,
                             k=cv_folds, seed=child_seed(seed, "calibration-cv", split))
@@ -149,20 +154,25 @@ def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
         rows.append(("log_difference", split, rmse(fs_te + test.X @ gamma_diff, test.y)))
 
         if full_cv:
-            def full_fitter(params, X, Fs, y):
+            def full_fitter(X, Fs, y, Xt, Ft):
                 n_fold = len(y)
-                model, _ = fit_calibration(X, Fs[:, 0], y, params["l1"] / n_fold,
-                                           params["l2"] / n_fold,
-                                           l_beta=l_beta, layout=layout)
-                return lambda Xt, Ft: predict_calibration(model, Xt, Ft[:, 0])
+
+                def predict_point(params):
+                    model, _ = fit_calibration(X, Fs[:, 0], y, params["l1"] / n_fold,
+                                               params["l2"] / n_fold,
+                                               l_beta=l_beta, layout=layout)
+                    return predict_calibration(model, Xt, Ft[:, 0])
+
+                return predict_point
 
             cv = grid_search_cv(full_fitter, grid, train.X, train.Fs, train.y,
                                 k=cv_folds, seed=child_seed(seed, "calibration-cv-full", split))
             l1, l2 = cv.best_params["l1"], cv.best_params["l2"]
-        model, _ = fit_calibration(train.X, fs_tr, train.y, l1 / train.n, l2 / train.n,
-                                   l_beta=l_beta, layout=layout)
+        model, trace = fit_calibration(train.X, fs_tr, train.y, l1 / train.n, l2 / train.n,
+                                       l_beta=l_beta, layout=layout)
         rows.append(("full", split, rmse(predict_calibration(model, test.X, fs_te), test.y)))
         gammas.append(model.gamma)
+        traces.append(trace)
 
     gamma_mean = np.mean(gammas, axis=0)
     gamma_rows = []
@@ -171,7 +181,7 @@ def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
         for j in range(size):
             gamma_rows.append((name, j + 1, float(gamma_mean[pos])))
             pos += 1
-    return rows, gamma_rows
+    return rows, gamma_rows, traces
 
 
 def _cmd_synth(args) -> int:
@@ -285,10 +295,14 @@ def _cmd_calibrate(args) -> int:
         ds = load_calibration_csv(args.data)
     else:
         raise ValueError("provide --data PATH or --synth-n N")
-    rows, gamma_rows = run_calibration_experiment(
+    rows, gamma_rows, traces = run_calibration_experiment(
         ds, seed=args.seed, splits=args.splits, train_size=args.train_size,
         test_size=args.test_size, l_beta=args.l_beta, full_cv=args.full_cv,
     )
+    for split, trace in enumerate(traces):
+        if not trace.converged:
+            print(f"affinetl: calibrate split {split}: full model not converged after "
+                  f"{trace.iterations} iterations", file=sys.stderr)
     out_dir = Path(args.out_dir)
     _write_csv(out_dir / "calibration.csv", ["model", "split", "rmse"], rows)
     _write_csv(out_dir / "gamma.csv", ["block", "index", "value"], gamma_rows)

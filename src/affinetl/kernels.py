@@ -22,10 +22,6 @@ __all__ = ["KernelSpec", "GramMatrix", "eval_kernel", "gram", "hadamard"]
 
 _MATERN_NUS = (0.5, 1.5, 2.5, math.inf)
 
-# Row-chunk budget (number of scalars) for pairwise distance construction;
-# keeps the (chunk, m, p) difference tensor bounded.
-_CHUNK_BUDGET = 4_000_000
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -100,21 +96,14 @@ def _as_matrix(X) -> np.ndarray:
 def _distances(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances via explicit differences.
 
-    Differences are formed directly (not via the expanded-square shortcut) so
-    near-identical points keep full precision; squared sums are clamped at 0
-    before the square root.
+    ``cdist`` forms each coordinate difference directly (not via the
+    expanded-square shortcut), so near-identical points keep full precision.
     """
-    n, p = X.shape
-    m = X2.shape[0]
-    out = np.empty((n, m), dtype=float)
-    chunk = max(1, _CHUNK_BUDGET // max(1, m * p))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diff = X[start:stop, None, :] - X2[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        np.maximum(sq, 0.0, out=sq)
-        out[start:stop] = np.sqrt(sq)
-    return out
+    # Imported on first use: importing scipy.spatial adds about a quarter to
+    # the cost of ``import affinetl``.
+    from scipy.spatial.distance import cdist
+
+    return cdist(X, X2, "euclidean")
 
 
 def _apply_distance_kernel(spec: KernelSpec, r: np.ndarray) -> np.ndarray:

@@ -89,28 +89,39 @@ def rmse(yhat, y) -> float:
 def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> CVResult:
     """Evaluate every grid point by k-fold CV and pick the best mean RMSE.
 
-    ``fitter(params, X_train, Fs_train, y_train)`` must return a callable
-    ``predict(X_test, Fs_test) -> yhat`` and be deterministic given its
-    inputs.  All grid points share one fold split.  A fitter that raises on
-    some grid point scores +inf there instead of aborting the search.
+    The search is fold-major: ``fitter(X_train, Fs_train, y_train, X_test,
+    Fs_test)`` is called once per fold, does the work that every grid point
+    shares there, and returns ``predict(params) -> yhat_test``, which is
+    called once per grid point.  Both must be deterministic given their
+    inputs.  All grid points share one fold split.  If the fold call raises,
+    every point scores +inf; if ``predict`` raises, only that point does.
+    Ties go to the first point in grid order.
     """
     X = np.asarray(X, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     folds = kfold_split(y.shape[0], k, seed)
+    points = list(grid.points())
+    fold_rmses: list[list[float] | None] = [[] for _ in points]  # None once failed
+    for train, test in folds:
+        try:
+            predict_fn = fitter(X[train], Fs[train], y[train], X[test], Fs[test])
+        except Exception:
+            fold_rmses = [None] * len(points)
+            break
+        for i, params in enumerate(points):
+            if fold_rmses[i] is None:
+                continue
+            try:
+                fold_rmses[i].append(rmse(predict_fn(params), y[test]))
+            except Exception:
+                fold_rmses[i] = None
     table = []
     best_params = None
     best_mean = math.inf
-    for params in grid.points():
-        fold_rmses = []
-        try:
-            for train, test in folds:
-                predict_fn = fitter(params, X[train], Fs[train], y[train])
-                fold_rmses.append(rmse(predict_fn(X[test], Fs[test]), y[test]))
-            mean = float(np.mean(fold_rmses))
-        except Exception:
-            fold_rmses, mean = [], math.inf
-        table.append((dict(params), mean, fold_rmses))
+    for params, scores in zip(points, fold_rmses):
+        mean = math.inf if scores is None else float(np.mean(scores))
+        table.append((dict(params), mean, scores or []))
         if mean < best_mean:
             best_mean, best_params = mean, dict(params)
     if best_params is None:

@@ -11,6 +11,7 @@ from affinetl.affine import (
     predict,
     update_block,
 )
+from affinetl.data import synth_dataset
 from affinetl.kernels import KernelSpec, gram
 from affinetl.model_selection import rmse
 from affinetl.solvers import ridge_solve
@@ -211,6 +212,35 @@ class TestFitConstrained:
         assert np.max(np.abs(a)) <= 1e-8
         assert np.max(np.abs(c)) <= 1e-8
         assert d == pytest.approx(3.25, abs=1e-8)
+
+    def test_small_lambda_reaches_exact_minimizer(self):
+        # an n = 50 benchmark-sized draw at lambda = (1e-3, 0.1), where the
+        # stacked (2n+1) normal equations lose about five digits; the oracle
+        # solves the bordered residual system in 40-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        ds = synth_dataset("offset_transfer", 300, dims=3, noise_sd=0.05, seed=7)
+        rows = np.random.default_rng(0).choice(300, size=50, replace=False)
+        K1 = gram(KernelSpec("rbf", np.sqrt(2.0)), ds.Fs[rows]).values
+        K3 = gram(KernelSpec("rbf", np.sqrt(3.0)), ds.X[rows]).values
+        y = ds.y[rows]
+        lam1, lam3 = 1e-3, 0.1
+        a, c, d = fit_constrained(K1, K3, y, lam1, lam3)
+        r = y - K1 @ a - K3 @ c - d
+        got = r @ r + lam1 * a @ K1 @ a + lam3 * c @ K3 @ c
+
+        with mpmath.workdps(40):
+            n = len(y)
+            M = np.eye(n) + K1 / lam1 + K3 / lam3
+            A = mpmath.matrix(n + 1, n + 1)
+            for i in range(n):
+                for j in range(n):
+                    A[i, j] = M[i, j]
+                A[i, n] = A[n, i] = 1
+            rhs = mpmath.matrix([*y.tolist(), 0.0])
+            resid = mpmath.lu_solve(A, rhs)
+            exact = float(sum(resid[i] * rhs[i] for i in range(n)))  # minimum = r'y
+        assert exact == pytest.approx(0.1523896, rel=1e-6)
+        assert got == pytest.approx(exact, rel=1e-9)
 
     def test_symmetric_system_gives_equal_blocks(self):
         rng = np.random.default_rng(13)

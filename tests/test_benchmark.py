@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from affinetl import benchmark
+from affinetl.baselines import fit_baseline, predict_baseline
 from affinetl.benchmark import (
     BenchmarkConfig,
     _length_scales,
@@ -11,6 +13,8 @@ from affinetl.benchmark import (
     run_benchmark,
 )
 from affinetl.data import synth_dataset
+from affinetl.kernels import KernelSpec, gram
+from affinetl.model_selection import KRR_SHRINK_GRID, kfold_split, rmse
 
 
 class TestChildSeed:
@@ -139,3 +143,142 @@ class TestRunBenchmark:
         monkeypatch.setenv("AFFINETL_THREADS", "4")
         threaded = run_benchmark(ds, config)
         assert serial.rows == threaded.rows
+
+
+def per_point_cv_means(fit_point, X, Fs, y, k, seed):
+    """The search the fold-level one replaced: a fresh ``fit_baseline`` and
+    ``predict_baseline`` at every (grid point, fold)."""
+    folds = kfold_split(len(y), k, seed)
+    means = []
+    for params in KRR_SHRINK_GRID.points():
+        try:
+            means.append(float(np.mean([
+                rmse(predict_baseline(fit_point(params["shrink"], X[tr], Fs[tr], y[tr]),
+                                      X[te], Fs[te]), y[te])
+                for tr, te in folds])))
+        except ZeroDivisionError:
+            means.append(math.inf)
+    return means
+
+
+def first_best(means):
+    best = min(range(len(means)), key=lambda i: (means[i], i))
+    return KRR_SHRINK_GRID.params["shrink"][best]
+
+
+class TestFoldLevelKRR:
+    """The benchmark's fold-level KRR search (one Gram and one
+    eigendecomposition per fold) against the per-point search."""
+
+    SINGLE = ("direct", "only_source", "augmented")
+
+    def population(self):
+        return synth_dataset("offset_transfer", 300, dims=3, noise_sd=0.05, seed=7)
+
+    def specs(self, ds):
+        ells = _length_scales("sqrt_dim", ds.X.shape[1], ds.Fs.shape[1])
+        return {name: KernelSpec("rbf", ell) for name, ell in ells.items()}
+
+    def record_searches(self, monkeypatch):
+        results = []
+        original = benchmark.grid_search_cv
+
+        def recording(*args, **kwargs):
+            res = original(*args, **kwargs)
+            results.append([mean for _, mean, _ in res.table])
+            return res
+
+        monkeypatch.setattr(benchmark, "grid_search_cv", recording)
+        return results
+
+    def assert_same_means(self, got, want):
+        assert len(got) == len(want) == len(KRR_SHRINK_GRID)
+        for g, w in zip(got, want):
+            if math.isinf(w):
+                assert g == w
+            else:
+                assert g == pytest.approx(w, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
+    def test_single_stage_picks_per_point_shrink(self, monkeypatch, n):
+        ds = self.population()
+        specs = self.specs(ds)
+        for kind in self.SINGLE:
+            spec = {"direct": specs["x"], "only_source": specs["fs"],
+                    "augmented": specs["aug"]}[kind]
+            rows = np.random.default_rng(child_seed(3, kind, n)).choice(ds.n, n, replace=False)
+            train = ds.subset(rows)
+            seed = child_seed(5, kind, n)
+            searches = self.record_searches(monkeypatch)
+            shrink = benchmark._cv_krr(kind, train, 5, seed, spec)
+            want = per_point_cv_means(
+                lambda s, X, Fs, y: fit_baseline(kind, X, Fs, y, spec, s),
+                train.X, train.Fs, train.y, 5, seed)
+            self.assert_same_means(searches[0], want)
+            assert shrink == first_best(want), (kind, n)
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
+    @pytest.mark.parametrize("kind", ["htl_offset", "htl_scale"])
+    def test_two_stage_picks_per_point_shrinks(self, monkeypatch, kind, n):
+        ds = self.population()
+        specs = self.specs(ds)
+        rows = np.random.default_rng(child_seed(3, kind, n)).choice(ds.n, n, replace=False)
+        train = ds.subset(rows)
+        seed = child_seed(5, kind, n)
+        searches = self.record_searches(monkeypatch)
+        model = benchmark._fit_two_stage(kind, train, 5, seed, specs["fs"], specs["x"])
+        self.check_two_stage(kind, train, seed, specs, searches)
+        assert model.stage1.shrink == first_best(searches[0])
+        assert model.stage2.shrink == first_best(searches[1])
+
+    def check_two_stage(self, kind, train, seed, specs, searches):
+        want1 = per_point_cv_means(
+            lambda s, X, Fs, y: fit_baseline("only_source", X, Fs, y, specs["fs"], s),
+            train.X, train.Fs, train.y, 5, child_seed(seed, "stage1"))
+        self.assert_same_means(searches[0], want1)
+        shrink1 = first_best(want1)
+        want2 = per_point_cv_means(
+            lambda s, X, Fs, y: fit_baseline(kind, X, Fs, y, specs["fs"], shrink1,
+                                             stage2_spec=specs["x"], stage2_shrink=s),
+            train.X, train.Fs, train.y, 5, child_seed(seed, "stage2"))
+        self.assert_same_means(searches[1], want2)
+        return want2
+
+    def test_scale_guard_fails_every_point(self, monkeypatch):
+        # one row far from the others in fs with target 0: its stage-1
+        # prediction is exactly 0 whenever it is a training row
+        ds = self.population()
+        specs = self.specs(ds)
+        train = ds.subset(np.random.default_rng(8).choice(ds.n, 20, replace=False))
+        train.Fs[0] = 1e3
+        train.y[0] = 0.0
+        seed = child_seed(5, "guard")
+        searches = self.record_searches(monkeypatch)
+        with pytest.raises(ZeroDivisionError):
+            benchmark._fit_two_stage("htl_scale", train, 5, seed, specs["fs"], specs["x"])
+        want2 = self.check_two_stage("htl_scale", train, seed, specs, searches)
+        assert all(math.isinf(m) for m in want2)
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("rbf", 1.3),
+        KernelSpec("matern", 0.9, nu=0.5),
+        KernelSpec("matern", 0.9, nu=1.5),
+        KernelSpec("matern", 0.9, nu=2.5),
+        KernelSpec("matern", 0.9, nu=math.inf),
+    ])
+    def test_fold_gram_is_submatrix_bit_for_bit(self, spec):
+        Z = np.random.default_rng(12).normal(size=(40, 4))
+        K = gram(spec, Z).values
+        for tr, te in kfold_split(40, 5, seed=13):
+            assert np.array_equal(gram(spec, Z[tr]).values, K[np.ix_(tr, tr)])
+            assert np.array_equal(gram(spec, Z[te], Z[tr]).values, K[np.ix_(te, tr)])
+
+    def test_linear_fold_gram_is_submatrix_to_rounding(self):
+        spec = KernelSpec("linear", 1.3)
+        Z = np.random.default_rng(12).normal(size=(40, 4))
+        K = gram(spec, Z).values
+        for tr, te in kfold_split(40, 5, seed=13):
+            assert np.allclose(gram(spec, Z[tr]).values, K[np.ix_(tr, tr)],
+                               rtol=1e-13, atol=1e-13)
+            assert np.allclose(gram(spec, Z[te], Z[tr]).values, K[np.ix_(te, tr)],
+                               rtol=1e-13, atol=1e-13)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from affinetl import cli
+from affinetl.affine import FitTrace
 from affinetl.cli import main, run_calibration_experiment, run_spectral_sweep
 from affinetl.data import load_csv, synth_dataset
 from affinetl.kernels import KernelSpec
@@ -223,13 +225,42 @@ class TestCalibrateCommand:
 
     def test_run_calibration_experiment_rows(self):
         ds = synth_dataset("calibration", n=40, dims=24, noise_sd=0.02, seed=16)
-        rows, gamma_rows = run_calibration_experiment(
+        rows, gamma_rows, traces = run_calibration_experiment(
             ds, seed=1, splits=2, train_size=30, test_size=8)
         assert [r[0] for r in rows[:3]] == ["olr", "log_difference", "full"]
         assert all(np.isfinite(r[2]) for r in rows)
         layout = ds.metadata["layout"]
         assert len(gamma_rows) == layout.total
         assert gamma_rows[0][0] == layout.blocks[0][0]
+        assert len(traces) == 2 and all(t.iterations >= 1 for t in traces)
+
+    def test_unconverged_splits_reported_on_stderr(self, tmp_path, monkeypatch, capsys):
+        argv = ["calibrate", "--synth-n", "40", "--dims", "24", "--noise-sd", "0.02",
+                "--seed", "15", "--splits", "3", "--train-size", "30", "--test-size", "8"]
+        assert main(argv + ["--out-dir", str(tmp_path / "plain")]) == 0
+        assert "not converged" not in capsys.readouterr().err
+
+        original = cli.fit_calibration
+        calls = []
+
+        def stalled(*args, **kwargs):
+            model, trace = original(*args, **kwargs)
+            calls.append(trace)
+            if len(calls) != 2:  # split 1 converges
+                trace = FitTrace(trace.objectives, iterations=1000, converged=False,
+                                 final_update_ratio=trace.final_update_ratio)
+            return model, trace
+
+        monkeypatch.setattr(cli, "fit_calibration", stalled)
+        assert main(argv + ["--out-dir", str(tmp_path / "stalled")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"affinetl: calibrate split {i}: full model not converged after 1000 iterations"
+            for i in (0, 2)
+        ]
+        for name in ("calibration.csv", "gamma.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == \
+                (tmp_path / "stalled" / name).read_bytes()
 
     def test_requires_some_input(self, capsys):
         assert main(["calibrate", "--seed", "1", "--out-dir", "/tmp/x"]) == 1
@@ -240,7 +271,7 @@ class TestCalibrateCommand:
         # correctly specified, so their test errors should nearly coincide,
         # and the fs-only line fit should trail both
         ds = synth_dataset("calibration", n=120, dims=24, noise_sd=0.05, seed=21)
-        rows, _ = run_calibration_experiment(ds, seed=2, splits=6,
+        rows, _, _ = run_calibration_experiment(ds, seed=2, splits=6,
                                              train_size=60, test_size=10)
         by_model = {}
         for model, _, val in rows:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn, kv
 
-from affinetl.kernels import GramMatrix, KernelSpec, eval_kernel, gram, hadamard
+from affinetl.kernels import GramMatrix, KernelSpec, _distances, eval_kernel, gram, hadamard
 
 
 def bessel_matern(nu, r, ell):
@@ -138,6 +138,18 @@ class TestGram:
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
             gram(KernelSpec("rbf", 1.0), np.ones((2, 3)), np.ones((2, 4)))
+
+    def test_near_duplicate_rows_keep_exact_difference(self):
+        # rows 1e-7 apart at coordinates near 1e3: the expanded-square form
+        # ||x||^2 - 2 x'x2 + ||x2||^2 would lose every digit of the distance
+        rng = np.random.default_rng(11)
+        X = 1e3 + rng.uniform(-1.0, 1.0, size=(6, 3))
+        X2 = X + rng.uniform(0.5e-7, 1.5e-7, size=(6, 3))
+        exact = np.sqrt(np.sum((X2 - X) ** 2, axis=1))  # float differences are exact here
+        assert np.allclose(np.diag(_distances(X, X2)), exact, rtol=1e-6, atol=0.0)
+        spec = KernelSpec("matern", 1e-6, nu=0.5)  # exp(-r / ell) resolves r ~ 1e-7
+        K = gram(spec, X, X2).values
+        assert np.allclose(np.diag(K), np.exp(-exact / 1e-6), rtol=1e-6, atol=0.0)
 
     def test_psd_on_random_inputs(self):
         rng = np.random.default_rng(7)

@@ -103,10 +103,14 @@ class TestGrid:
         assert len(AFFINE_FULL_GRID) == 64
 
 
-def linear_fitter(params, X, Fs, y):
+def linear_fitter(X, Fs, y, Xt, Ft):
     spec = KernelSpec("linear", 1.0)
-    model = fit_baseline("direct", X, Fs, y, spec, params["shrink"])
-    return lambda Xt, Ft: predict_baseline(model, Xt, Ft)
+
+    def predict(params):
+        model = fit_baseline("direct", X, Fs, y, spec, params["shrink"])
+        return predict_baseline(model, Xt, Ft)
+
+    return predict
 
 
 class TestGridSearchCV:
@@ -127,8 +131,8 @@ class TestGridSearchCV:
         rng = np.random.default_rng(7)
         X, Fs, y = self.make_linear_data(rng, n=20)
 
-        def constant_fitter(params, Xtr, Fstr, ytr):
-            return lambda Xt, Ft: np.zeros(len(Xt))
+        def constant_fitter(Xtr, Fstr, ytr, Xt, Ft):
+            return lambda params: np.zeros(len(Xt))
 
         res = grid_search_cv(constant_fitter, Grid(shrink=[3.0, 1.0, 2.0]),
                              X, Fs, y, k=4, seed=1)
@@ -149,14 +153,52 @@ class TestGridSearchCV:
         rng = np.random.default_rng(9)
         X, Fs, y = self.make_linear_data(rng, n=15)
 
-        def flaky_fitter(params, Xtr, Fstr, ytr):
-            if params["shrink"] < 0.01:
-                raise RuntimeError("boom")
-            return linear_fitter(params, Xtr, Fstr, ytr)
+        def flaky_fitter(Xtr, Fstr, ytr, Xt, Ft):
+            predict = linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+
+            def flaky_predict(params):
+                if params["shrink"] < 0.01:
+                    raise RuntimeError("boom")
+                return predict(params)
+
+            return flaky_predict
 
         res = grid_search_cv(flaky_fitter, Grid(shrink=[1e-3, 0.5]), X, Fs, y, k=3, seed=3)
         assert res.table[0][1] == math.inf
         assert res.best_params == {"shrink": 0.5}
+
+    def test_failing_fold_scores_every_point_infinity(self):
+        rng = np.random.default_rng(9)
+        X, Fs, y = self.make_linear_data(rng, n=15)
+        calls = []
+
+        def failing_fold_fitter(Xtr, Fstr, ytr, Xt, Ft):
+            calls.append(len(ytr))
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+
+        res = grid_search_cv(failing_fold_fitter, Grid(shrink=[1e-3, 0.5, 2.0]),
+                             X, Fs, y, k=3, seed=3)
+        assert all(mean == math.inf and rmses == [] for _, mean, rmses in res.table)
+        assert res.best_params == {"shrink": 1e-3}
+
+    def test_fitter_called_once_per_fold(self):
+        rng = np.random.default_rng(11)
+        X, Fs, y = self.make_linear_data(rng, n=20)
+        folds = kfold_split(20, 4, seed=5)
+        seen = []
+
+        def recording_fitter(Xtr, Fstr, ytr, Xt, Ft):
+            seen.append((Xtr, Xt))
+            return linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+
+        res = grid_search_cv(recording_fitter, Grid(shrink=[0.1, 1.0, 10.0]),
+                             X, Fs, y, k=4, seed=5)
+        assert len(seen) == 4
+        for (Xtr, Xt), (tr, te) in zip(seen, folds):
+            assert np.array_equal(Xtr, X[tr]) and np.array_equal(Xt, X[te])
+        assert all(len(rmses) == 4 for _, _, rmses in res.table)
 
     def test_value_order_does_not_change_scores(self):
         rng = np.random.default_rng(10)
