@@ -13,9 +13,9 @@ from .calibration import (
     predict_calibration,
 )
 from .data import Dataset, load_csv, load_sarcos, synth_dataset
-from .kernels import GramMatrix, KernelSpec, eval_kernel, gram, hadamard
+from .kernels import KernelSpec, eval_kernel, gram
 from .model_selection import Grid, CVResult, grid_search_cv, kfold_split, rmse
-from .solvers import PenaltyMatrix, SingularSystemError, penalized_ls, ridge_solve
+from .solvers import SingularSystemError, penalized_ls, ridge_solve
 from .spectral import DecayEstimate, OverlapExperimentConfig, decay_rate, eigvals_desc, run_overlap_experiment
 
 __version__ = "0.1.0"

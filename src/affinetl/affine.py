@@ -38,6 +38,7 @@ __all__ = [
     "FitConfig",
     "AffineTLModel",
     "FitTrace",
+    "alternate",
     "objective",
     "update_block",
     "fit",
@@ -235,14 +236,40 @@ def _update_ratio(new: np.ndarray, old: np.ndarray) -> float:
     return num if den < _RATIO_GUARD else num / den
 
 
+def alternate(sweep, objective_of, state: tuple, tol: float, max_iter: int,
+              watched: int) -> tuple[tuple, FitTrace]:
+    """Alternating exact block minimization, shared by every iterative fit.
+
+    ``sweep(state)`` returns the state after one pass of block updates and
+    ``objective_of(state)`` its objective.  Sweeps run until the largest
+    relative change over the first ``watched`` blocks of the state (a block
+    whose old value is essentially zero counts its absolute change) drops
+    below ``tol``, or ``max_iter`` sweeps have run.  Returns the final state
+    and its trace: the objective before the first sweep and after each one.
+    """
+    trace = FitTrace([objective_of(state)])
+    ratio = float("inf")
+    for _ in range(max_iter):
+        new = sweep(state)
+        ratio = max(_update_ratio(new[i], state[i]) for i in range(watched))
+        state = new
+        trace.objectives.append(objective_of(state))
+        trace.iterations += 1
+        if ratio < tol:
+            trace.converged = True
+            break
+    trace.final_update_ratio = ratio
+    return state, trace
+
+
 def fit(config: FitConfig, X, Fs, y, specs) -> tuple[AffineTLModel, FitTrace]:
     """Fit the affine transfer model on training data.
 
     ``specs`` is the (k1, k2, k3) kernel triple; k1 and k2 act on the source
-    features, k3 on the raw inputs.  Cyclic exact block updates run until the
-    largest relative coefficient change across a, b, c drops below
-    ``config.tol`` or ``config.max_iter`` is reached.  The constrained
-    variant is solved in one shot.
+    features, k3 on the raw inputs.  Cyclic exact block updates run under
+    :func:`alternate` until the largest relative coefficient change across
+    a, b, c drops below ``config.tol`` or ``config.max_iter`` is reached.
+    The constrained variant is solved in one shot, without g2's Gram.
     """
     X = np.asarray(X, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
@@ -258,9 +285,8 @@ def fit(config: FitConfig, X, Fs, y, specs) -> tuple[AffineTLModel, FitTrace]:
         raise ValueError("X, Fs, y must have the same number of rows")
     spec1, spec2, spec3 = specs
 
-    K1 = gram(spec1, Fs).values
-    K2 = gram(spec2, Fs).values
-    K3 = gram(spec3, X).values
+    K1 = gram(spec1, Fs)
+    K3 = gram(spec3, X)
 
     if config.variant == "constrained":
         a, c, d = fit_constrained(
@@ -268,35 +294,31 @@ def fit(config: FitConfig, X, Fs, y, specs) -> tuple[AffineTLModel, FitTrace]:
         )
         b = np.zeros(n)
         model = AffineTLModel(a, b, c, d, X, Fs, (spec1, spec2, spec3), config.variant)
-        obj = objective(a, b, c, d, K1, K2, K3, y, config)
+        # b = 0, so K2 enters neither the fit nor the objective.
+        obj = objective(a, b, c, d, K1, np.zeros((n, n)), K3, y, config)
         return model, FitTrace([obj], iterations=0, converged=True, final_update_ratio=0.0)
 
+    K2 = gram(spec2, Fs)
     rng = np.random.default_rng(config.seed)
     a = ridge_solve(K1, y, config.shrink(config.lambda1, n))
     b = rng.standard_normal(n)
     c = rng.standard_normal(n)
     d = 0.5 if config.variant == "full_with_intercept" else 0.0
 
-    trace = FitTrace([objective(a, b, c, d, K1, K2, K3, y, config)])
-    ratio = float("inf")
-    for _ in range(config.max_iter):
-        a_new = update_block("a", (a, b, c, d), K1, K2, K3, y, config)
-        b_new = update_block("b", (a_new, b, c, d), K1, K2, K3, y, config)
-        c_new = update_block("c", (a_new, b_new, c, d), K1, K2, K3, y, config)
+    def sweep(state):
+        a, b, c, d = state
+        a = update_block("a", (a, b, c, d), K1, K2, K3, y, config)
+        b = update_block("b", (a, b, c, d), K1, K2, K3, y, config)
+        c = update_block("c", (a, b, c, d), K1, K2, K3, y, config)
         if config.variant == "full_with_intercept":
-            d = update_block("d", (a_new, b_new, c_new, d), K1, K2, K3, y, config)
-        ratio = max(
-            _update_ratio(a_new, a), _update_ratio(b_new, b), _update_ratio(c_new, c)
-        )
-        a, b, c = a_new, b_new, c_new
-        trace.objectives.append(objective(a, b, c, d, K1, K2, K3, y, config))
-        trace.iterations += 1
-        if ratio < config.tol:
-            trace.converged = True
-            break
-    trace.final_update_ratio = ratio
-    model = AffineTLModel(a, b, c, d, X, Fs, (spec1, spec2, spec3), config.variant)
-    return model, trace
+            d = update_block("d", (a, b, c, d), K1, K2, K3, y, config)
+        return a, b, c, d
+
+    (a, b, c, d), trace = alternate(
+        sweep, lambda s: objective(*s, K1, K2, K3, y, config), (a, b, c, d),
+        config.tol, config.max_iter, watched=3,
+    )
+    return AffineTLModel(a, b, c, d, X, Fs, (spec1, spec2, spec3), config.variant), trace
 
 
 def predict(model: AffineTLModel, Xnew, FsNew) -> np.ndarray:
@@ -310,10 +332,12 @@ def predict(model: AffineTLModel, Xnew, FsNew) -> np.ndarray:
     if Xnew.shape[0] != FsNew.shape[0]:
         raise ValueError("Xnew and FsNew must have the same number of rows")
     spec1, spec2, spec3 = model.specs
-    K1s = gram(spec1, FsNew, model.train_Fs).values
-    K2s = gram(spec2, FsNew, model.train_Fs).values
-    K3s = gram(spec3, Xnew, model.train_X).values
-    w = K2s @ model.b
-    if _unit_offset(model.variant):
-        w = w + 1.0
+    K1s = gram(spec1, FsNew, model.train_Fs)
+    if model.variant == "constrained":
+        w = 1.0
+    else:
+        w = gram(spec2, FsNew, model.train_Fs) @ model.b
+        if _unit_offset(model.variant):
+            w = w + 1.0
+    K3s = gram(spec3, Xnew, model.train_X)
     return K1s @ model.a + w * (K3s @ model.c) + model.d

@@ -73,7 +73,7 @@ class KRRStage:
     shrink: float
 
     def predict(self, Z) -> np.ndarray:
-        return gram(self.spec, Z, self.train).values @ self.coef
+        return gram(self.spec, Z, self.train) @ self.coef
 
 
 @dataclass
@@ -87,7 +87,7 @@ def _fit_krr(spec: KernelSpec, Z, y, shrink: float) -> KRRStage:
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
         Z = Z[:, None]
-    K = gram(spec, Z).values
+    K = gram(spec, Z)
     return KRRStage(ridge_solve(K, np.asarray(y, dtype=float), shrink), spec, Z, shrink)
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "BenchmarkConfig",
     "BenchmarkReport",
     "child_seed",
+    "length_scales",
     "run_benchmark",
     "aggregate_rows",
 ]
@@ -101,6 +102,11 @@ class BenchmarkConfig:
             raise ValueError(f"unknown length_scale_rule {self.length_scale_rule!r}")
         if self.repeats < 1 or self.cv_folds < 2:
             raise ValueError("need repeats >= 1 and cv_folds >= 2")
+        try:
+            KernelSpec(str(self.kernel_family), 1.0)
+        except ValueError as exc:
+            raise ValueError(f"kernel_family {self.kernel_family!r} cannot build a kernel: "
+                             f"{exc}") from None
 
 
 @dataclass
@@ -110,7 +116,7 @@ class BenchmarkReport:
     failures: int = 0
 
 
-def _length_scales(rule: str, dim_x: int, dim_fs: int) -> dict[str, float]:
+def length_scales(rule: str, dim_x: int, dim_fs: int) -> dict[str, float]:
     """Length-scales per kernel role.
 
     ``sqrt_dim`` uses the square root of each kernel's own input dimension.
@@ -132,8 +138,8 @@ def _krr_path(spec: KernelSpec, Ztr, Zte, z):
     every shrink into an O(n^2) product, K_te,tr V diag(1 / (mu + s)) V' z
     (Rifkin & Lippert 2007, "Notes on regularized least squares").
     """
-    mu, V = np.linalg.eigh(gram(spec, Ztr).values)
-    A = gram(spec, Zte, Ztr).values @ V
+    mu, V = np.linalg.eigh(gram(spec, Ztr))
+    A = gram(spec, Zte, Ztr) @ V
     b = V.T @ z
     return lambda shrink: A @ (b / (mu + shrink))
 
@@ -161,9 +167,9 @@ def _fit_two_stage(kind, train: Dataset, folds, seed, spec_fs, spec_x):
     shrink1 = _cv_krr("only_source", train, folds, child_seed(seed, "stage1"), spec_fs)
 
     def fitter(X, Fs, y, Xt, Ft):
-        K1 = gram(spec_fs, Fs).values
+        K1 = gram(spec_fs, Fs)
         coef = ridge_solve(K1, y, shrink1)
-        g1, g1_test = K1 @ coef, gram(spec_fs, Ft, Fs).values @ coef
+        g1, g1_test = K1 @ coef, gram(spec_fs, Ft, Fs) @ coef
         if kind == "htl_offset":
             path = _krr_path(spec_x, X, Xt, y - g1)
             return lambda params: g1_test + path(params["shrink"])
@@ -215,7 +221,7 @@ def _run_cell(dataset: Dataset, test_pool: Dataset | None, proc: str, n: int,
     if test.n == 0:
         raise ValueError("no rows left for the test set")
 
-    ells = _length_scales(config.length_scale_rule, dataset.X.shape[1], dataset.Fs.shape[1])
+    ells = length_scales(config.length_scale_rule, dataset.X.shape[1], dataset.Fs.shape[1])
     fam = config.kernel_family
     spec_x = KernelSpec(fam, ells["x"])
     spec_fs = KernelSpec(fam, ells["fs"])

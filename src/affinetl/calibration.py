@@ -12,7 +12,8 @@ models bracket it: plain linear regression on fs alone, and a ridge fit of
 gamma on the residual y - fs.
 
 The full model is fit by cyclic exact minimization over the alpha pair,
-beta, and gamma, starting from the reference fits.
+beta, and gamma, starting from the reference fits, under the same
+alternating-minimization driver as the affine transfer model.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import FitTrace, _update_ratio
-from .solvers import PenaltyMatrix, penalized_ls, solve_spd
+from .affine import FitTrace, alternate
+from .solvers import penalized_ls, solve_spd
 
 __all__ = [
     "BlockLayout",
@@ -108,25 +109,14 @@ def _difference_matrix(layout: BlockLayout) -> np.ndarray:
     return M
 
 
-def build_fused_penalty(
-    layout: BlockLayout, l1: float, l2: float, squared: bool = False
-) -> PenaltyMatrix:
-    """Penalty Lambda with gamma' Lambda gamma = l1 ||gamma||^2 + l2 * (sum of
-    squared within-block first differences).
-
-    ``squared=True`` instead stacks the weights inside the difference
-    operator (Lambda = D'D with D = [l1 I; l2 M]), which squares them; kept
-    for reproducing that alternative reading.
-    """
+def build_fused_penalty(layout: BlockLayout, l1: float, l2: float) -> np.ndarray:
+    """Symmetric PSD penalty Lambda with gamma' Lambda gamma = l1 ||gamma||^2
+    + l2 * (sum of squared within-block first differences)."""
     if l1 < 0 or l2 < 0:
         raise ValueError("penalty weights must be nonnegative")
     M = _difference_matrix(layout)
-    p = layout.total
-    if squared:
-        lam = l1 * l1 * np.eye(p) + l2 * l2 * (M.T @ M)
-    else:
-        lam = l1 * np.eye(p) + l2 * (M.T @ M)
-    return PenaltyMatrix(0.5 * (lam + lam.T))
+    lam = l1 * np.eye(layout.total) + l2 * (M.T @ M)
+    return 0.5 * (lam + lam.T)
 
 
 def fit_olr(fs, y) -> tuple[float, float]:
@@ -172,7 +162,7 @@ def calibration_objective(
     """(1/n) ||y - yhat||^2 + l_beta beta^2 + gamma' Lambda gamma."""
     X, fs, y = _check_calibration_inputs(X, fs, y, layout)
     gamma = np.asarray(gamma, dtype=float).ravel()
-    lam = np.asarray(build_fused_penalty(layout, l1, l2))
+    lam = build_fused_penalty(layout, l1, l2)
     return _calibration_objective_given(
         np.array([alpha0, alpha1]), beta, gamma, X, fs, y, l_beta, lam
     )
@@ -214,7 +204,7 @@ def update_calibration_block(which, state, X, fs, y, l_beta, l1, l2, layout):
     if which == "beta":
         return _argmin_beta(F, fs, y, alpha, Xg, l_beta)
     if which == "gamma":
-        lam_n = y.shape[0] * np.asarray(build_fused_penalty(layout, l1, l2))
+        lam_n = y.shape[0] * build_fused_penalty(layout, l1, l2)
         return _argmin_gamma(X, F, fs, y, alpha, beta, lam_n)
     raise ValueError(f"unknown block {which!r}")
 
@@ -236,8 +226,8 @@ def fit_calibration(
     gamma = -gamma_diff from the residual ridge fit (sign flipped so the
     starting predictor reproduces that reference model).  Each update is the
     exact minimizer of the objective over its block, so the trace is
-    nonincreasing; stopping uses the same max-relative-change rule as the
-    affine fit, over {alpha, beta, gamma}.
+    nonincreasing; :func:`affinetl.affine.alternate` stops on the largest
+    relative change over {alpha, beta, gamma}.
     """
     if layout is None:
         layout = default_layout()
@@ -252,31 +242,21 @@ def fit_calibration(
 
     F = np.column_stack([np.ones_like(fs), fs])
     FtF = F.T @ F
-    lam = np.asarray(build_fused_penalty(layout, l1, l2))
+    lam = build_fused_penalty(layout, l1, l2)
     lam_n = n * lam
 
-    def obj(al, be, ga):
-        return _calibration_objective_given(al, be, ga, X, fs, y, l_beta, lam)
-
-    trace = FitTrace([obj(alpha, beta, gamma)])
-    ratio = float("inf")
-    for _ in range(max_iter):
+    def sweep(state):
+        alpha, beta, gamma = state
         Xg = X @ gamma
-        alpha_new = _argmin_alpha(F, FtF, fs, y, beta, Xg)
-        beta_new = _argmin_beta(F, fs, y, alpha_new, Xg, l_beta)
-        gamma_new = _argmin_gamma(X, F, fs, y, alpha_new, beta_new, lam_n)
-        ratio = max(
-            _update_ratio(alpha_new, alpha),
-            _update_ratio(np.atleast_1d(beta_new), np.atleast_1d(beta)),
-            _update_ratio(gamma_new, gamma),
-        )
-        alpha, beta, gamma = alpha_new, beta_new, gamma_new
-        trace.objectives.append(obj(alpha, beta, gamma))
-        trace.iterations += 1
-        if ratio < tol:
-            trace.converged = True
-            break
-    trace.final_update_ratio = ratio
+        alpha = _argmin_alpha(F, FtF, fs, y, beta, Xg)
+        beta = _argmin_beta(F, fs, y, alpha, Xg, l_beta)
+        gamma = _argmin_gamma(X, F, fs, y, alpha, beta, lam_n)
+        return alpha, beta, gamma
+
+    (alpha, beta, gamma), trace = alternate(
+        sweep, lambda s: _calibration_objective_given(*s, X, fs, y, l_beta, lam),
+        (alpha, beta, gamma), tol, max_iter, watched=3,
+    )
     model = CalibrationModel(float(alpha[0]), float(alpha[1]), beta, gamma, layout)
     return model, trace
 

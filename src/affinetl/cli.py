@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .affine import FitConfig, fit, predict
-from .benchmark import PROCEDURES, BenchmarkConfig, child_seed, run_benchmark
+from .benchmark import PROCEDURES, BenchmarkConfig, child_seed, length_scales, run_benchmark
 from .calibration import (
     default_layout,
     fit_calibration,
@@ -31,7 +31,6 @@ from .data import (
     load_calibration_csv,
     load_csv,
     load_sarcos,
-    save_calibration_csv,
     save_csv,
     synth_dataset,
 )
@@ -186,23 +185,18 @@ def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
 
 def _cmd_synth(args) -> int:
     ds = synth_dataset(args.kind, args.n, args.dims, args.noise_sd, args.seed)
-    if args.kind == "calibration":
-        save_calibration_csv(ds, args.out)
-    else:
-        save_csv(ds, args.out)
+    save_csv(ds, args.out)
     print(f"wrote {ds.n} rows to {args.out}")
     return 0
 
 
 def _cmd_fit(args) -> int:
     ds = _load_dataset(args)
-    dim_x, dim_fs = ds.X.shape[1], ds.Fs.shape[1]
-    ell3 = math.sqrt(dim_x + dim_fs) if args.length_scale_rule == "sarcos_appendix" \
-        else math.sqrt(dim_x)
+    ells = length_scales(args.length_scale_rule, ds.X.shape[1], ds.Fs.shape[1])
     specs = (
-        KernelSpec(args.kernel, math.sqrt(dim_fs)),
-        KernelSpec(args.kernel, math.sqrt(dim_fs)),
-        KernelSpec(args.kernel, ell3),
+        KernelSpec(args.kernel, ells["fs"]),
+        KernelSpec(args.kernel, ells["fs"]),
+        KernelSpec(args.kernel, ells["g3"]),
     )
     config = FitConfig(
         lambda1=args.lambda1, lambda2=args.lambda2, lambda3=args.lambda3,
@@ -246,12 +240,7 @@ def _merge_benchmark_config(args) -> BenchmarkConfig:
     if args.procedures is not None:
         settings["procedures"] = tuple(args.procedures.split(","))
     if args.sizes is not None:
-        settings["sizes"] = args.sizes  # normalized below
-    if "sizes" in settings:
-        raw = settings.pop("sizes")
-        if isinstance(raw, str):
-            raw = raw.split(",")
-        settings["train_sizes"] = tuple(int(v) for v in raw)
+        settings["train_sizes"] = tuple(int(v) for v in args.sizes.split(","))
     if isinstance(settings.get("procedures"), list):
         settings["procedures"] = tuple(settings["procedures"])
     if isinstance(settings.get("train_sizes"), list):

@@ -17,7 +17,6 @@ __all__ = [
     "load_csv",
     "save_csv",
     "load_calibration_csv",
-    "save_calibration_csv",
     "synth_dataset",
 ]
 
@@ -169,11 +168,6 @@ def load_csv(path, y_col: str | None = None, fs_cols=None, x_cols=None) -> Datas
         fs_names=list(fs_cols),
         y_name=y_col,
     )
-
-
-def save_calibration_csv(ds: Dataset, path):
-    """Write a calibration dataset; descriptor columns carry block names."""
-    save_csv(ds, path)
 
 
 def load_calibration_csv(path) -> Dataset:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "GramMatrix", "eval_kernel", "gram", "hadamard"]
+__all__ = ["KernelSpec", "eval_kernel", "gram"]
 
 _MATERN_NUS = (0.5, 1.5, 2.5, math.inf)
 
@@ -56,30 +56,6 @@ class KernelSpec:
     def is_stationary(self) -> bool:
         """True for distance-based kernels (unit diagonal on a single sample set)."""
         return self.family != "linear"
-
-
-@dataclass
-class GramMatrix:
-    """Kernel evaluations between two sample sets (or one set with itself)."""
-
-    values: np.ndarray
-    symmetric: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("Gram matrix must be 2-dimensional")
-        if self.symmetric and self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("symmetric Gram matrix must be square")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.values.astype(dtype)
-        return self.values
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -138,7 +114,7 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
     return float(_apply_distance_kernel(spec, np.asarray(r)))
 
 
-def gram(spec: KernelSpec, X, X2=None) -> GramMatrix:
+def gram(spec: KernelSpec, X, X2=None) -> np.ndarray:
     """Build the Gram matrix K[i, j] = k(X[i], X2[j]).
 
     With ``X2`` omitted the matrix is built from one sample set: the upper
@@ -162,14 +138,4 @@ def gram(spec: KernelSpec, X, X2=None) -> GramMatrix:
         K = K + np.triu(K, 1).T
         if spec.is_stationary:
             np.fill_diagonal(K, 1.0)
-    return GramMatrix(K, symmetric=symmetric)
-
-
-def hadamard(K: GramMatrix, K2: GramMatrix) -> GramMatrix:
-    """Elementwise (Hadamard) product of two Gram matrices."""
-    A = np.asarray(K)
-    B = np.asarray(K2)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    sym = bool(getattr(K, "symmetric", False)) and bool(getattr(K2, "symmetric", False))
-    return GramMatrix(A * B, symmetric=sym)
+    return K

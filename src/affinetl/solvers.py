@@ -8,51 +8,16 @@ exactly singular).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-__all__ = ["PenaltyMatrix", "SingularSystemError", "solve_spd", "ridge_solve", "penalized_ls"]
+__all__ = ["SingularSystemError", "solve_spd", "ridge_solve", "penalized_ls"]
 
 _JITTER_ESCALATIONS = 3
 
 
 class SingularSystemError(np.linalg.LinAlgError):
     """Raised when a system stays singular after the jitter escalations."""
-
-
-@dataclass
-class PenaltyMatrix:
-    """A symmetric PSD quadratic-penalty matrix.
-
-    Symmetry is enforced on construction; positive semidefiniteness is the
-    builder's contract, checkable on demand via :meth:`min_eigenvalue`
-    (an O(p^3) eigensolve, too costly for every construction inside a CV
-    loop).
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.entries, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("penalty matrix must be square")
-        if not np.array_equal(A, A.T):
-            raise ValueError("penalty matrix must be symmetric")
-        self.entries = A
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
 
 
 def _sym(A) -> np.ndarray:

@@ -52,9 +52,9 @@ def make_problem(rng, n):
     Fs = rng.normal(size=(n, 2))
     y = rng.normal(size=n)
     specs = (KernelSpec("rbf", 1.2), KernelSpec("rbf", 1.2), KernelSpec("rbf", 1.5))
-    K1 = gram(specs[0], Fs).values
-    K2 = gram(specs[1], Fs).values
-    K3 = gram(specs[2], X).values
+    K1 = gram(specs[0], Fs)
+    K2 = gram(specs[1], Fs)
+    K3 = gram(specs[2], X)
     return X, Fs, y, K1, K2, K3, specs
 
 
@@ -208,7 +208,7 @@ def test_criterion_3_reduction_identities():
         model = fit_baseline("htl_offset", X, Fs, y, spec_fs, 0.2,
                              stage2_spec=spec_x, stage2_shrink=0.3)
         resid = y - model.stage1.predict(Fs)
-        K3 = gram(spec_x, X).values
+        K3 = gram(spec_x, X)
         want = ridge_solve(K3, resid, 0.3)
         assert np.max(np.abs(model.stage2.coef - want)) <= 1e-10
 
@@ -222,7 +222,7 @@ def test_criterion_3_reduction_identities():
         layout = layouts[trial % 3]
         l1, l2 = rng.uniform(0.0, 5.0, size=2)
         gamma = rng.normal(size=layout.total)
-        lam = np.asarray(build_fused_penalty(layout, l1, l2))
+        lam = build_fused_penalty(layout, l1, l2)
         direct = l1 * float(gamma @ gamma)
         pos = 0
         for _, size in layout.blocks:
@@ -241,11 +241,11 @@ def test_criterion_4_decay_rate():
     rng = np.random.default_rng(4004)
     matrices = [np.eye(10), np.diag(0.6 ** np.arange(12))]
     for ell in (0.8, 1.5, 3.0):
-        matrices.append(gram(KernelSpec("rbf", ell), rng.normal(size=(20, 4))).values)
+        matrices.append(gram(KernelSpec("rbf", ell), rng.normal(size=(20, 4))))
         matrices.append(gram(KernelSpec("matern", ell, nu=1.5),
-                             rng.normal(size=(15, 3))).values)
+                             rng.normal(size=(15, 3))))
         matrices.append(gram(KernelSpec("linear", ell),
-                             rng.normal(size=(12, 3))).values)
+                             rng.normal(size=(12, 3))))
 
     for K in matrices:
         est = decay_rate(K)

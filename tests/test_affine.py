@@ -5,6 +5,7 @@ from affinetl.affine import (
     AffineTLModel,
     FitConfig,
     _update_ratio,
+    alternate,
     fit,
     fit_constrained,
     objective,
@@ -25,9 +26,9 @@ def make_problem(rng, n, dim_x=3, dim_fs=2):
     X = rng.normal(size=(n, dim_x))
     Fs = rng.normal(size=(n, dim_fs))
     y = rng.normal(size=n)
-    K1 = gram(SPECS[0], Fs).values
-    K2 = gram(SPECS[1], Fs).values
-    K3 = gram(SPECS[2], X).values
+    K1 = gram(SPECS[0], Fs)
+    K2 = gram(SPECS[1], Fs)
+    K3 = gram(SPECS[2], X)
     return X, Fs, y, K1, K2, K3
 
 
@@ -204,6 +205,22 @@ class TestFitConstrained:
         theta = numeric_quadratic_argmin(f, 17)
         assert np.max(np.abs(np.concatenate([a, c, [d]]) - theta)) <= 1e-5
 
+    def test_fit_and_predict_match_formulas_with_g2_gram(self):
+        # fit and predict skip g2's Gram for this variant; with b = 0 that
+        # must leave the objective and the predictions bit for bit unchanged
+        rng = np.random.default_rng(14)
+        X, Fs, y, K1, K2, K3 = make_problem(rng, 12)
+        config = FitConfig(0.05, 0.3, 0.02, variant="constrained")
+        model, trace = fit(config, X, Fs, y, SPECS)
+        assert not np.any(model.b)
+        assert trace.objectives == [objective(model.a, model.b, model.c, model.d,
+                                              K1, K2, K3, y, config)]
+        Xn, Fsn = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        w = gram(SPECS[1], Fsn, Fs) @ model.b + 1.0
+        want = (gram(SPECS[0], Fsn, Fs) @ model.a + w * (gram(SPECS[2], Xn, X) @ model.c)
+                + model.d)
+        assert np.array_equal(predict(model, Xn, Fsn), want)
+
     def test_constant_target_recovered_by_intercept(self):
         rng = np.random.default_rng(12)
         _, _, _, K1, _, K3 = make_problem(rng, 6)
@@ -220,8 +237,8 @@ class TestFitConstrained:
         mpmath = pytest.importorskip("mpmath")
         ds = synth_dataset("offset_transfer", 300, dims=3, noise_sd=0.05, seed=7)
         rows = np.random.default_rng(0).choice(300, size=50, replace=False)
-        K1 = gram(KernelSpec("rbf", np.sqrt(2.0)), ds.Fs[rows]).values
-        K3 = gram(KernelSpec("rbf", np.sqrt(3.0)), ds.X[rows]).values
+        K1 = gram(KernelSpec("rbf", np.sqrt(2.0)), ds.Fs[rows])
+        K3 = gram(KernelSpec("rbf", np.sqrt(3.0)), ds.X[rows])
         y = ds.y[rows]
         lam1, lam3 = 1e-3, 0.1
         a, c, d = fit_constrained(K1, K3, y, lam1, lam3)
@@ -257,7 +274,7 @@ class TestFit:
         rng = np.random.default_rng(14)
         n = 12
         X, Fs = rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
-        K1 = gram(sharp[0], Fs).values
+        K1 = gram(sharp[0], Fs)
         a_star = rng.normal(size=n)
         y = K1 @ a_star
         cfg = FitConfig(1e-9, 1e-9, 1e-9, variant="full", tol=1e-10,
@@ -346,6 +363,27 @@ class TestUpdateRatio:
         assert _update_ratio(np.array([3e-4]), np.array([1e-14])) == pytest.approx(3e-4)
 
 
+class TestAlternate:
+    @staticmethod
+    def run(watched):
+        # block 0 settles after one sweep while block 1 keeps doubling
+        return alternate(lambda s: (np.array([1.0]), 2.0 * s[1]), lambda s: float(s[1]),
+                         (np.array([0.0]), 1.0), tol=1e-4, max_iter=6, watched=watched)
+
+    def test_stops_on_watched_blocks_only(self):
+        (settled, doubled), trace = self.run(watched=1)
+        assert trace.converged and trace.iterations == 2
+        assert trace.objectives == [1.0, 2.0, 4.0]
+        assert trace.final_update_ratio == 0.0
+        assert doubled == 4.0
+
+    def test_max_iter_leaves_trace_unconverged(self):
+        _, trace = self.run(watched=2)
+        assert not trace.converged and trace.iterations == 6
+        assert len(trace.objectives) == 7
+        assert trace.final_update_ratio == 1.0
+
+
 class TestPredict:
     def test_in_sample_matches_objective_internals(self):
         rng = np.random.default_rng(20)
@@ -363,7 +401,7 @@ class TestPredict:
         model = AffineTLModel(a, np.zeros(8), np.ones(8), 0.0, X, Fs, SPECS, "full")
         Xnew, Fsnew = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
         got = predict(model, Xnew, Fsnew)
-        want = gram(SPECS[0], Fsnew, Fs).values @ a
+        want = gram(SPECS[0], Fsnew, Fs) @ a
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_single_point_equals_batch_row(self):

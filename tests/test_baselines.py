@@ -53,8 +53,8 @@ class TestFitBaseline:
         X, Fs, y = make_data(rng)
         shrink = 0.3
         model = fit_baseline("direct", X, Fs, y, SPEC_X, shrink)
-        K3 = gram(SPEC_X, X).values
-        K_fs = gram(SPEC_FS, Fs).values
+        K3 = gram(SPEC_X, X)
+        K_fs = gram(SPEC_FS, Fs)
         cfg = FitConfig(0.1, 0.1, shrink, variant="full_with_intercept",
                         scale_convention="appendix")
         z = np.zeros(len(y))

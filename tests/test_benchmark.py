@@ -7,9 +7,9 @@ from affinetl import benchmark
 from affinetl.baselines import fit_baseline, predict_baseline
 from affinetl.benchmark import (
     BenchmarkConfig,
-    _length_scales,
     aggregate_rows,
     child_seed,
+    length_scales,
     run_benchmark,
 )
 from affinetl.data import synth_dataset
@@ -39,14 +39,14 @@ class TestChildSeed:
 
 class TestLengthScales:
     def test_sqrt_dim_rule(self):
-        ells = _length_scales("sqrt_dim", 21, 6)
+        ells = length_scales("sqrt_dim", 21, 6)
         assert ells["x"] == pytest.approx(math.sqrt(21))
         assert ells["fs"] == pytest.approx(math.sqrt(6))
         assert ells["aug"] == pytest.approx(math.sqrt(27))
         assert ells["g3"] == pytest.approx(math.sqrt(21))
 
     def test_appendix_rule_widens_g3(self):
-        ells = _length_scales("sarcos_appendix", 21, 6)
+        ells = length_scales("sarcos_appendix", 21, 6)
         assert ells["g3"] == pytest.approx(math.sqrt(27))
 
 
@@ -58,6 +58,15 @@ class TestBenchmarkConfig:
     def test_rejects_unknown_rule(self):
         with pytest.raises(ValueError):
             BenchmarkConfig(seed=1, length_scale_rule="fixed")
+
+    @pytest.mark.parametrize("family", ["matern", "rbf ", "poly"])
+    def test_rejects_unbuildable_kernel_family(self, family):
+        with pytest.raises(ValueError, match="kernel_family"):
+            BenchmarkConfig(seed=1, kernel_family=family)
+
+    @pytest.mark.parametrize("family", ["rbf", "linear", "RBF"])
+    def test_accepts_buildable_kernel_family(self, family):
+        assert BenchmarkConfig(seed=1, kernel_family=family).kernel_family == family
 
 
 class TestAggregateRows:
@@ -116,6 +125,25 @@ class TestRunBenchmark:
         report = run_benchmark(ds, config)
         assert report.failures == 0
         assert all(np.isfinite(r[3]) and r[3] < 5.0 for r in report.rows)
+
+    def test_affine_const_cell_builds_no_g2_gram(self, monkeypatch):
+        # 16 grid points x 5 folds x (2 Grams in fit + 2 in predict), plus the
+        # final fit and test prediction; building g2's Gram too would make 486
+        from affinetl import affine
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return gram(*args, **kwargs)
+
+        monkeypatch.setattr(affine, "gram", counted)
+        ds = synth_dataset("offset_transfer", 300, dims=3, noise_sd=0.05, seed=7)
+        config = BenchmarkConfig(seed=11, procedures=("affine_const",), train_sizes=(50,),
+                                 repeats=1)
+        report = run_benchmark(ds, config)
+        assert report.failures == 0
+        assert len(calls) == 324
 
     def test_failed_cell_recorded_as_nan(self, capsys):
         ds = self.make_dataset()
@@ -176,7 +204,7 @@ class TestFoldLevelKRR:
         return synth_dataset("offset_transfer", 300, dims=3, noise_sd=0.05, seed=7)
 
     def specs(self, ds):
-        ells = _length_scales("sqrt_dim", ds.X.shape[1], ds.Fs.shape[1])
+        ells = length_scales("sqrt_dim", ds.X.shape[1], ds.Fs.shape[1])
         return {name: KernelSpec("rbf", ell) for name, ell in ells.items()}
 
     def record_searches(self, monkeypatch):
@@ -268,17 +296,17 @@ class TestFoldLevelKRR:
     ])
     def test_fold_gram_is_submatrix_bit_for_bit(self, spec):
         Z = np.random.default_rng(12).normal(size=(40, 4))
-        K = gram(spec, Z).values
+        K = gram(spec, Z)
         for tr, te in kfold_split(40, 5, seed=13):
-            assert np.array_equal(gram(spec, Z[tr]).values, K[np.ix_(tr, tr)])
-            assert np.array_equal(gram(spec, Z[te], Z[tr]).values, K[np.ix_(te, tr)])
+            assert np.array_equal(gram(spec, Z[tr]), K[np.ix_(tr, tr)])
+            assert np.array_equal(gram(spec, Z[te], Z[tr]), K[np.ix_(te, tr)])
 
     def test_linear_fold_gram_is_submatrix_to_rounding(self):
         spec = KernelSpec("linear", 1.3)
         Z = np.random.default_rng(12).normal(size=(40, 4))
-        K = gram(spec, Z).values
+        K = gram(spec, Z)
         for tr, te in kfold_split(40, 5, seed=13):
-            assert np.allclose(gram(spec, Z[tr]).values, K[np.ix_(tr, tr)],
+            assert np.allclose(gram(spec, Z[tr]), K[np.ix_(tr, tr)],
                                rtol=1e-13, atol=1e-13)
-            assert np.allclose(gram(spec, Z[te], Z[tr]).values, K[np.ix_(te, tr)],
+            assert np.allclose(gram(spec, Z[te], Z[tr]), K[np.ix_(te, tr)],
                                rtol=1e-13, atol=1e-13)

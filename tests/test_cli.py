@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from affinetl import cli
-from affinetl.affine import FitTrace
+from affinetl.affine import FitConfig, FitTrace, fit
 from affinetl.cli import main, run_calibration_experiment, run_spectral_sweep
 from affinetl.data import load_csv, synth_dataset
 from affinetl.kernels import KernelSpec
@@ -65,6 +65,25 @@ class TestFitCommand:
         header, rows = read_table(coeffs)
         assert header == ["row", "a", "b", "c"]
         assert len(rows) == 20
+
+
+    @pytest.mark.parametrize("rule,g3_dims", [("sqrt_dim", 2), ("sarcos_appendix", 4)])
+    def test_length_scale_rule(self, tmp_path, capsys, rule, g3_dims):
+        data = tmp_path / "ds.csv"
+        main(["synth", "--kind", "offset_transfer", "--n", "20", "--dims", "2",
+              "--noise-sd", "0.05", "--seed", "6", "--out", str(data)])
+        capsys.readouterr()
+        code = main(["fit", "--data", str(data), "--max-iter", "20",
+                     "--length-scale-rule", rule])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        ds = load_csv(data)
+        # two x and two fs columns: sqrt(2) for g1 and g2, g3 by the rule
+        specs = (KernelSpec("rbf", math.sqrt(2)), KernelSpec("rbf", math.sqrt(2)),
+                 KernelSpec("rbf", math.sqrt(g3_dims)))
+        config = FitConfig(0.1, 0.1, 0.1, variant="full_with_intercept", max_iter=20)
+        _, trace = fit(config, ds.X, ds.Fs, ds.y, specs)
+        assert summary["final_objective"] == trace.objectives[-1]
 
 
 class TestBenchmarkCommand:
@@ -134,6 +153,28 @@ class TestBenchmarkCommand:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert "fold_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["matern", "rbf "])
+    def test_unbuildable_kernel_family_rejected(self, tmp_path, capsys, family):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"seed": 1, "kernel_family": family,
+                                    "procedures": ["direct"], "train_sizes": [10],
+                                    "repeats": 2}))
+        out_dir = tmp_path / "out"
+        code = main(["benchmark", "--synth", "offset_transfer", "--config", str(conf),
+                     "--out-dir", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("affinetl: error: ") and "kernel_family" in err
+        assert not out_dir.exists()
+
+    def test_sizes_key_in_config_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"seed": 1, "sizes": [8]}))
+        code = main(["benchmark", "--synth", "offset_transfer", "--config", str(conf),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "sizes" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["benchmark", "--data", str(tmp_path / "absent.csv"),

@@ -10,7 +10,6 @@ from affinetl.data import (
     load_calibration_csv,
     load_csv,
     load_sarcos,
-    save_calibration_csv,
     save_csv,
     save_sarcos,
     synth_dataset,
@@ -135,7 +134,7 @@ class TestCsvIO:
     def test_calibration_layout_inferred(self, tmp_path):
         ds = synth_dataset("calibration", n=12, dims=24, noise_sd=0.01, seed=6)
         path = tmp_path / "cal.csv"
-        save_calibration_csv(ds, path)
+        save_csv(ds, path)
         back = load_calibration_csv(path)
         layout = back.metadata["layout"]
         assert layout.total == 24

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from affinetl.solvers import (
-    PenaltyMatrix,
     SingularSystemError,
     penalized_ls,
     ridge_solve,
@@ -69,8 +68,8 @@ class TestRidgeSolve:
         rng = np.random.default_rng(3)
         K = gram(KernelSpec("rbf", 1.0), rng.normal(size=(6, 2)))
         y = rng.normal(size=6)
-        c = ridge_solve(np.asarray(K), y, 0.5)
-        assert np.max(np.abs((K.values + 0.5 * np.eye(6)) @ c - y)) < 1e-10
+        c = ridge_solve(K, y, 0.5)
+        assert np.max(np.abs((K + 0.5 * np.eye(6)) @ c - y)) < 1e-10
 
 
 def gd_minimize(grad, x0, lipschitz, steps=100_000):
@@ -128,16 +127,3 @@ class TestPenalizedLS:
             penalized_ls(np.ones((3, 2)), np.ones(3), np.eye(3))
         with pytest.raises(ValueError):
             penalized_ls(np.ones((3, 2)), np.ones(4), np.eye(2))
-
-
-class TestPenaltyMatrix:
-    def test_requires_symmetry(self):
-        with pytest.raises(ValueError):
-            PenaltyMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_requires_square(self):
-        with pytest.raises(ValueError):
-            PenaltyMatrix(np.ones((2, 3)))
-
-    def test_min_eigenvalue(self):
-        assert PenaltyMatrix(np.eye(3)).min_eigenvalue() == pytest.approx(1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affinetl.kernels import GramMatrix, KernelSpec, gram, hadamard
+from affinetl.kernels import KernelSpec, gram
 from affinetl.spectral import (
     OverlapExperimentConfig,
     _overlap_samples,
@@ -44,7 +44,7 @@ class TestEigvalsDesc:
     def test_matches_characteristic_polynomial_oracle(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(10, 3))
-        K = gram(KernelSpec("rbf", 1.0), X).values[:4, :4]
+        K = gram(KernelSpec("rbf", 1.0), X)[:4, :4]
         got = eigvals_desc(K)
         want = charpoly_eigs(K)
         assert np.max(np.abs(got - want)) <= 1e-8
@@ -85,7 +85,7 @@ class TestDecayRate:
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
-        K = gram(KernelSpec("rbf", 1.5), rng.normal(size=(20, 4))).values
+        K = gram(KernelSpec("rbf", 1.5), rng.normal(size=(20, 4)))
         base = decay_rate(K).s
         for c in (0.5, 2.0, 10.0):
             assert abs(decay_rate(c * K).s - base) <= 1e-9
@@ -94,9 +94,9 @@ class TestDecayRate:
         rng = np.random.default_rng(2)
         mats = [np.eye(7), np.diag(0.7 ** np.arange(10))]
         for ell in (0.8, 1.5, 3.0):
-            mats.append(gram(KernelSpec("rbf", ell), rng.normal(size=(15, 3))).values)
+            mats.append(gram(KernelSpec("rbf", ell), rng.normal(size=(15, 3))))
             mats.append(gram(KernelSpec("matern", ell, nu=1.5),
-                             rng.normal(size=(12, 3))).values)
+                             rng.normal(size=(12, 3))))
         for K in mats:
             est = decay_rate(K)
             A = K / np.max(np.diagonal(K))
@@ -144,9 +144,9 @@ class TestOverlapExperiment:
         C = rng.standard_normal((10, 5))
         X = C @ Q[:, :5].T
         spec = KernelSpec("rbf", np.sqrt(10.0))
-        K2 = GramMatrix(gram(spec, X).values / 10, symmetric=True)
-        K3 = GramMatrix(gram(spec, X).values / 10, symmetric=True)
-        assert np.array_equal(K2.values, K3.values)
+        K2 = gram(spec, X) / 10
+        K3 = gram(spec, X) / 10
+        assert np.array_equal(K2, K3)
         assert decay_rate(K2).s == decay_rate(K3).s
 
     def test_rates_within_bounds(self):
@@ -177,6 +177,6 @@ class TestOverlapExperiment:
         row = run_overlap_experiment(cfg)[0]
         rng = np.random.default_rng(11)
         X, Fs = _overlap_samples(rng, cfg)
-        K2 = GramMatrix(gram(spec, Fs).values / 10, symmetric=True)
-        K3 = GramMatrix(gram(spec, X).values / 10, symmetric=True)
-        assert row.s_hadamard == decay_rate(hadamard(K2, K3)).s
+        K2 = gram(spec, Fs) / 10
+        K3 = gram(spec, X) / 10
+        assert row.s_hadamard == decay_rate(K2 * K3).s
