@@ -18,12 +18,17 @@ alternating-minimization driver as the affine transfer model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .affine import FitTrace, alternate
+from .model_selection import CALIBRATION_GRID, child_seed, grid_search_cv, rmse
 from .solvers import penalized_ls, solve_spd
+
+if TYPE_CHECKING:
+    from .data import Dataset
 
 __all__ = [
     "BlockLayout",
@@ -35,6 +40,7 @@ __all__ = [
     "update_calibration_block",
     "fit_calibration",
     "predict_calibration",
+    "run_calibration_experiment",
 ]
 
 # Descriptor blocks: ten families of force-field parameters, the atomic-mass
@@ -98,25 +104,20 @@ class CalibrationModel:
             )
 
 
-def _difference_matrix(layout: BlockLayout) -> np.ndarray:
-    p = layout.total
-    M = np.zeros((p - 1, p))
-    idx = np.arange(p - 1)
-    M[idx, idx] = -1.0
-    M[idx, idx + 1] = 1.0
-    for m in layout.boundaries():
-        M[m - 1, :] = 0.0
-    return M
-
-
 def build_fused_penalty(layout: BlockLayout, l1: float, l2: float) -> np.ndarray:
     """Symmetric PSD penalty Lambda with gamma' Lambda gamma = l1 ||gamma||^2
-    + l2 * (sum of squared within-block first differences)."""
+    + l2 * (sum of squared within-block first differences).
+
+    The difference term is the block-diagonal path Laplacian: 1 on the
+    diagonal at block ends, 2 inside a block, -1 between neighbours that
+    share a block.
+    """
     if l1 < 0 or l2 < 0:
         raise ValueError("penalty weights must be nonnegative")
-    M = _difference_matrix(layout)
-    lam = l1 * np.eye(layout.total) + l2 * (M.T @ M)
-    return 0.5 * (lam + lam.T)
+    same = np.ones(layout.total - 1)  # 1 where coefficients i and i + 1 share a block
+    same[[m - 1 for m in layout.boundaries()]] = 0.0
+    laplacian = np.diag(np.r_[same, 0.0] + np.r_[0.0, same]) - np.diag(same, 1) - np.diag(same, -1)
+    return l1 * np.eye(layout.total) + l2 * laplacian
 
 
 def fit_olr(fs, y) -> tuple[float, float]:
@@ -270,3 +271,85 @@ def predict_calibration(model: CalibrationModel, X, fs) -> np.ndarray:
     if fs.shape[0] != X.shape[0]:
         raise ValueError("X and fs must have the same number of rows")
     return model.alpha0 + model.alpha1 * fs - (model.beta * fs + 1.0) * (X @ model.gamma)
+
+
+def _fit_full(X, fs, y, params, l_beta, layout):
+    """Full model at weights quoted in the residual model's unnormalized-loss
+    scale: the full objective divides the loss by n, so the weights are
+    divided by the training size to mean the same amount of shrinkage."""
+    n = len(y)
+    return fit_calibration(X, fs, y, params["l1"] / n, params["l2"] / n,
+                           l_beta=l_beta, layout=layout)
+
+
+def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
+                               train_size: int = 60, test_size: int = 10,
+                               l_beta: float = 1.0, grid=CALIBRATION_GRID,
+                               cv_folds: int = 5, full_cv: bool = False):
+    """Fit the three calibration models over seeded train/test splits.
+
+    Returns (rmse_rows, gamma_rows, traces): per-split RMSE for the line
+    fit, the residual ridge model, and the full model, the across-split mean
+    of the full model's gamma, one row per (block, index), and the full
+    model's ``FitTrace`` per split.
+
+    The fused penalty weights are cross-validated on the residual model's
+    predictions each split; the full model reuses that choice unless
+    ``full_cv`` asks for its own (much slower) search.
+    """
+    layout = ds.metadata.get("layout", default_layout())
+    if ds.Fs.shape[1] != 1:
+        raise ValueError("calibration data needs a single fs column")
+    if ds.n < train_size + test_size:
+        raise ValueError(f"need at least {train_size + test_size} rows for train size "
+                         f"{train_size} and test size {test_size}, have {ds.n}")
+    rows = []
+    gammas = []
+    traces = []
+    for split in range(splits):
+        rng = np.random.default_rng(child_seed(seed, "calibration", split))
+        perm = rng.permutation(ds.n)
+        tr = perm[:train_size]
+        te = perm[train_size : train_size + test_size]
+        train, test = ds.subset(tr), ds.subset(te)
+        fs_tr, fs_te = train.Fs[:, 0], test.Fs[:, 0]
+
+        a0, a1 = fit_olr(fs_tr, train.y)
+        rows.append(("olr", split, rmse(a0 + a1 * fs_te, test.y)))
+
+        def diff_fitter(X, Fs, y, Xt, Ft):
+            def predict_point(params):
+                gamma = fit_log_difference(X, Fs[:, 0], y, params["l1"], params["l2"], layout)
+                return Ft[:, 0] + Xt @ gamma
+
+            return predict_point
+
+        cv = grid_search_cv(diff_fitter, grid, train.X, train.Fs, train.y,
+                            k=cv_folds, seed=child_seed(seed, "calibration-cv", split))
+        l1, l2 = cv.best_params["l1"], cv.best_params["l2"]
+        gamma_diff = fit_log_difference(train.X, fs_tr, train.y, l1, l2, layout)
+        rows.append(("log_difference", split, rmse(fs_te + test.X @ gamma_diff, test.y)))
+
+        if full_cv:
+            def full_fitter(X, Fs, y, Xt, Ft):
+                def predict_point(params):
+                    model, _ = _fit_full(X, Fs[:, 0], y, params, l_beta, layout)
+                    return predict_calibration(model, Xt, Ft[:, 0])
+
+                return predict_point
+
+            cv = grid_search_cv(full_fitter, grid, train.X, train.Fs, train.y,
+                                k=cv_folds, seed=child_seed(seed, "calibration-cv-full", split))
+        model, trace = _fit_full(train.X, fs_tr, train.y, cv.best_params, l_beta, layout)
+        rows.append(("full", split, rmse(predict_calibration(model, test.X, fs_te), test.y)))
+        gammas.append(model.gamma)
+        traces.append(trace)
+
+    gamma_mean = np.mean(gammas, axis=0)
+    gamma_rows = []
+    pos = 0
+    for name, size in layout.blocks:
+        for j in range(size):
+            gamma_rows.append((name, j + 1, float(gamma_mean[pos])))
+            pos += 1
+    return rows, gamma_rows, traces

@@ -9,22 +9,15 @@ BenchmarkConfig field names; explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .affine import FitConfig, fit, predict
-from .benchmark import PROCEDURES, BenchmarkConfig, child_seed, length_scales, run_benchmark
-from .calibration import (
-    default_layout,
-    fit_calibration,
-    fit_log_difference,
-    fit_olr,
-    predict_calibration,
-)
+from .benchmark import PROCEDURES, BenchmarkConfig, length_scales, run_benchmark
+from .calibration import run_calibration_experiment
 from .data import (
     SYNTH_KINDS,
     Dataset,
@@ -35,10 +28,10 @@ from .data import (
     synth_dataset,
 )
 from .kernels import KernelSpec
-from .model_selection import CALIBRATION_GRID, grid_search_cv, rmse
+from .model_selection import rmse
 from .spectral import OverlapExperimentConfig, run_overlap_experiment
 
-__all__ = ["main", "run_spectral_sweep", "run_calibration_experiment"]
+__all__ = ["main"]
 
 
 def _fmt(value) -> str:
@@ -66,14 +59,18 @@ def _parse_kernel(text: str, length_scale: float) -> KernelSpec:
     return KernelSpec(fam, length_scale)
 
 
+def _read_data_file(path, args) -> Dataset:
+    if args.format == "sarcos":
+        return load_sarcos(path, args.target_joint)
+    return load_csv(path)
+
+
 def _load_dataset(args) -> Dataset:
     if getattr(args, "synth", None):
         return synth_dataset(args.synth, args.n, args.dims, args.noise_sd, args.seed)
     if not args.data:
         raise ValueError("provide --data PATH or --synth KIND")
-    if args.format == "sarcos":
-        return load_sarcos(args.data, args.target_joint)
-    return load_csv(args.data)
+    return _read_data_file(args.data, args)
 
 
 def _add_dataset_args(sub, with_synth: bool = True) -> None:
@@ -87,100 +84,6 @@ def _add_dataset_args(sub, with_synth: bool = True) -> None:
         sub.add_argument("--n", type=int, default=200, help="synthetic sample count")
         sub.add_argument("--dims", type=int, default=3, help="synthetic input dimension")
         sub.add_argument("--noise-sd", type=float, default=0.1, help="synthetic noise level")
-
-
-def run_spectral_sweep(ambient_dim, n_bases, n_samples, repeats, spec2, spec3, seed):
-    """Overlap experiment swept over d = 0..n_bases; rows ordered by (d, repeat)."""
-    rows = []
-    for d in range(n_bases + 1):
-        cfg = OverlapExperimentConfig(
-            d=d, ambient_dim=ambient_dim, n_bases=n_bases, n_samples=n_samples,
-            repeats=repeats, spec2=spec2, spec3=spec3, seed=seed,
-        )
-        for row in run_overlap_experiment(cfg):
-            rows.append((row.d, row.repeat, row.s2, row.s3, row.s_hadamard))
-    return rows
-
-
-def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
-                               train_size: int = 60, test_size: int = 10,
-                               l_beta: float = 1.0, grid=CALIBRATION_GRID,
-                               cv_folds: int = 5, full_cv: bool = False):
-    """Fit the three calibration models over seeded train/test splits.
-
-    Returns (rmse_rows, gamma_rows, traces): per-split RMSE for the line
-    fit, the residual ridge model, and the full model, the across-split mean
-    of the full model's gamma, one row per (block, index), and the full
-    model's ``FitTrace`` per split.
-
-    The fused penalty weights are cross-validated on the residual model's
-    predictions each split; the full model reuses that choice unless
-    ``full_cv`` asks for its own (much slower) search.  Weights are quoted
-    in the residual model's unnormalized-loss scale; the full model's
-    objective divides the loss by n, so the weights it receives are divided
-    by the training size to mean the same amount of shrinkage.
-    """
-    layout = ds.metadata.get("layout", default_layout())
-    if ds.Fs.shape[1] != 1:
-        raise ValueError("calibration data needs a single fs column")
-    if ds.n < train_size + 1:
-        raise ValueError(f"need more than {train_size} rows, have {ds.n}")
-    rows = []
-    gammas = []
-    traces = []
-    for split in range(splits):
-        rng = np.random.default_rng(child_seed(seed, "calibration", split))
-        perm = rng.permutation(ds.n)
-        tr = perm[:train_size]
-        te = perm[train_size : train_size + test_size]
-        train, test = ds.subset(tr), ds.subset(te)
-        fs_tr, fs_te = train.Fs[:, 0], test.Fs[:, 0]
-
-        a0, a1 = fit_olr(fs_tr, train.y)
-        rows.append(("olr", split, rmse(a0 + a1 * fs_te, test.y)))
-
-        def diff_fitter(X, Fs, y, Xt, Ft):
-            def predict_point(params):
-                gamma = fit_log_difference(X, Fs[:, 0], y, params["l1"], params["l2"], layout)
-                return Ft[:, 0] + Xt @ gamma
-
-            return predict_point
-
-        cv = grid_search_cv(diff_fitter, grid, train.X, train.Fs, train.y,
-                            k=cv_folds, seed=child_seed(seed, "calibration-cv", split))
-        l1, l2 = cv.best_params["l1"], cv.best_params["l2"]
-        gamma_diff = fit_log_difference(train.X, fs_tr, train.y, l1, l2, layout)
-        rows.append(("log_difference", split, rmse(fs_te + test.X @ gamma_diff, test.y)))
-
-        if full_cv:
-            def full_fitter(X, Fs, y, Xt, Ft):
-                n_fold = len(y)
-
-                def predict_point(params):
-                    model, _ = fit_calibration(X, Fs[:, 0], y, params["l1"] / n_fold,
-                                               params["l2"] / n_fold,
-                                               l_beta=l_beta, layout=layout)
-                    return predict_calibration(model, Xt, Ft[:, 0])
-
-                return predict_point
-
-            cv = grid_search_cv(full_fitter, grid, train.X, train.Fs, train.y,
-                                k=cv_folds, seed=child_seed(seed, "calibration-cv-full", split))
-            l1, l2 = cv.best_params["l1"], cv.best_params["l2"]
-        model, trace = fit_calibration(train.X, fs_tr, train.y, l1 / train.n, l2 / train.n,
-                                       l_beta=l_beta, layout=layout)
-        rows.append(("full", split, rmse(predict_calibration(model, test.X, fs_te), test.y)))
-        gammas.append(model.gamma)
-        traces.append(trace)
-
-    gamma_mean = np.mean(gammas, axis=0)
-    gamma_rows = []
-    pos = 0
-    for name, size in layout.blocks:
-        for j in range(size):
-            gamma_rows.append((name, j + 1, float(gamma_mean[pos])))
-            pos += 1
-    return rows, gamma_rows, traces
 
 
 def _cmd_synth(args) -> int:
@@ -254,10 +157,7 @@ def _cmd_benchmark(args) -> int:
     config = _merge_benchmark_config(args)
     args.seed = config.seed  # synth data, if any, derives from the run seed
     ds = _load_dataset(args)
-    test_ds = None
-    if args.test_data:
-        test_ds = load_sarcos(args.test_data, args.target_joint) \
-            if args.format == "sarcos" else load_csv(args.test_data)
+    test_ds = _read_data_file(args.test_data, args) if args.test_data else None
     report = run_benchmark(ds, config, test_dataset=test_ds)
     out_dir = Path(args.out_dir)
     _write_csv(out_dir / "results.csv", ["procedure", "n", "repeat", "rmse"], report.rows)
@@ -267,11 +167,14 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    ell = args.length_scale if args.length_scale else math.sqrt(10.0)
-    rows = run_spectral_sweep(
-        args.ambient_dim, args.n_bases, args.n_samples, args.repeats,
-        _parse_kernel(args.kernel2, ell), _parse_kernel(args.kernel3, ell), args.seed,
+    ell = math.sqrt(10.0) if args.length_scale is None else args.length_scale
+    cfg = OverlapExperimentConfig(
+        d=0, ambient_dim=args.ambient_dim, n_bases=args.n_bases, n_samples=args.n_samples,
+        repeats=args.repeats, spec2=_parse_kernel(args.kernel2, ell),
+        spec3=_parse_kernel(args.kernel3, ell), seed=args.seed,
     )
+    rows = [dataclasses.astuple(row) for d in range(cfg.n_bases + 1)
+            for row in run_overlap_experiment(dataclasses.replace(cfg, d=d))]
     _write_csv(args.out, ["d", "repeat", "s2", "s3", "s_hadamard"], rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -127,12 +127,13 @@ def save_csv(ds: Dataset, path):
     np.savetxt(path, table, fmt=_FLOAT_FMT, delimiter=",", header=header, comments="")
 
 
-def load_csv(path, y_col: str | None = None, fs_cols=None, x_cols=None) -> Dataset:
+def load_csv(path, fs_cols=None) -> Dataset:
     """Load a generic headered CSV into a Dataset.
 
-    Column roles default to name conventions: the target is the column named
-    ``y``, source features are columns starting with ``fs``, and inputs are
-    everything else.  Explicit column lists override the conventions.
+    The target is the column named ``y`` and the inputs are every column
+    that is neither the target nor a source feature.  Source features are
+    the ``fs_cols`` given, by default the columns whose names start with
+    ``fs``.
     """
     path = Path(path)
     with open(path) as fh:
@@ -147,14 +148,12 @@ def load_csv(path, y_col: str | None = None, fs_cols=None, x_cols=None) -> Datas
     if table.shape[1] != len(names):
         raise ValueError(f"{path}: header names {len(names)} columns, rows have {table.shape[1]}")
 
-    y_col = y_col or "y"
-    if y_col not in names:
-        raise ValueError(f"{path}: no target column {y_col!r} in header")
+    if "y" not in names:
+        raise ValueError(f"{path}: no target column 'y' in header")
     if fs_cols is None:
         fs_cols = [c for c in names if c.startswith("fs")]
-    if x_cols is None:
-        x_cols = [c for c in names if c != y_col and c not in fs_cols]
-    missing = [c for c in [*fs_cols, *x_cols] if c not in names]
+    x_cols = [c for c in names if c != "y" and c not in fs_cols]
+    missing = [c for c in fs_cols if c not in names]
     if missing:
         raise ValueError(f"{path}: columns {missing} not in header")
     if not fs_cols or not x_cols:
@@ -163,10 +162,9 @@ def load_csv(path, y_col: str | None = None, fs_cols=None, x_cols=None) -> Datas
     return Dataset(
         table[:, [col[c] for c in x_cols]],
         table[:, [col[c] for c in fs_cols]],
-        table[:, col[y_col]],
-        x_names=list(x_cols),
+        table[:, col["y"]],
+        x_names=x_cols,
         fs_names=list(fs_cols),
-        y_name=y_col,
     )
 
 

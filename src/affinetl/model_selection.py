@@ -11,6 +11,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "CVResult",
+    "child_seed",
     "kfold_split",
     "rmse",
     "grid_search_cv",
@@ -55,6 +56,36 @@ class CVResult:
     best_params: dict
     table: list[tuple[dict, float, list[float]]] = field(default_factory=list)
     seed: int = 0
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(z: int) -> int:
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def child_seed(master: int, *parts) -> int:
+    """Derive a child seed from a master seed and a cell key.
+
+    String parts are folded in bytewise (FNV-1a), integer parts directly;
+    each part is followed by a splitmix64 round, so the derivation depends
+    on part order and content but never on how many other cells exist.
+    """
+    z = _splitmix64(int(master) & _MASK64)
+    for part in parts:
+        if isinstance(part, str):
+            h = 0xCBF29CE484222325
+            for byte in part.encode():
+                h = ((h ^ byte) * 0x100000001B3) & _MASK64
+            z ^= h
+        else:
+            z ^= int(part) & _MASK64
+        z = _splitmix64(z)
+    return z
 
 
 def kfold_split(n: int, k: int, seed: int):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from affinetl import calibration
 from affinetl.calibration import (
     BlockLayout,
     CalibrationModel,
@@ -11,8 +12,11 @@ from affinetl.calibration import (
     fit_log_difference,
     fit_olr,
     predict_calibration,
+    run_calibration_experiment,
     update_calibration_block,
 )
+from affinetl.data import synth_dataset
+from affinetl.model_selection import Grid, kfold_split
 from affinetl.solvers import penalized_ls
 
 from conftest import fd_gradient, numeric_quadratic_argmin
@@ -299,3 +303,43 @@ class TestPredictCalibration:
         model = CalibrationModel(0.0, 1.0, 0.0, np.zeros(6), SMALL)
         with pytest.raises(ValueError):
             predict_calibration(model, np.ones((3, 5)), np.ones(3))
+
+
+class TestRunCalibrationExperiment:
+    def test_full_cv_divides_weights_by_each_training_size(self, monkeypatch):
+        fits, searches = [], []
+        original_fit = calibration.fit_calibration
+        original_search = calibration.grid_search_cv
+
+        def recording_fit(X, fs, y, l1, l2, **kwargs):
+            fits.append((len(y), l1, l2))
+            return original_fit(X, fs, y, l1, l2, **kwargs)
+
+        def recording_search(*args, **kwargs):
+            searches.append(original_search(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(calibration, "fit_calibration", recording_fit)
+        monkeypatch.setattr(calibration, "grid_search_cv", recording_search)
+        ds = synth_dataset("calibration", n=40, dims=24, noise_sd=0.02, seed=16)
+        grid = Grid(l1=(0.5, 2.0), l2=(50.0,))
+        run_calibration_experiment(ds, seed=4, splits=1, train_size=31, test_size=8,
+                                   grid=grid, cv_folds=3, full_cv=True)
+
+        fold_sizes = [len(train) for train, _ in kfold_split(31, 3, 0)]
+        assert sorted(set(fold_sizes)) == [20, 21]  # unequal folds tell the sizes apart
+        want = [(n, point["l1"] / n, point["l2"] / n)
+                for n in fold_sizes for point in grid.points()]
+        assert fits[:-1] == want
+        assert len(searches) == 2  # residual model, then full model
+        chosen = searches[-1].best_params
+        assert fits[-1] == (31, chosen["l1"] / 31, chosen["l2"] / 31)
+
+    def test_rows_must_cover_train_and_test(self):
+        ds = synth_dataset("calibration", n=38, dims=24, noise_sd=0.02, seed=16)
+        with pytest.raises(ValueError, match="need at least 38 rows"):
+            run_calibration_experiment(ds.subset(np.arange(37)), seed=1, splits=1,
+                                       train_size=30, test_size=8)
+        rows, _, _ = run_calibration_experiment(ds, seed=1, splits=1, train_size=30,
+                                                test_size=8)
+        assert [r[0] for r in rows] == ["olr", "log_difference", "full"]

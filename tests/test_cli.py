@@ -1,14 +1,20 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from affinetl import cli
+import affinetl
+from affinetl import calibration
 from affinetl.affine import FitConfig, FitTrace, fit
-from affinetl.cli import main, run_calibration_experiment, run_spectral_sweep
+from affinetl.calibration import run_calibration_experiment
+from affinetl.cli import main
 from affinetl.data import load_csv, synth_dataset
 from affinetl.kernels import KernelSpec
+from affinetl.spectral import OverlapExperimentConfig, run_overlap_experiment
 
 
 def read_table(path):
@@ -240,12 +246,31 @@ class TestSpectralCommand:
                      "--out", str(out)])
         assert code == 0
 
-    def test_sweep_function_matches_config_runs(self):
+    def test_sweep_function_matches_config_runs(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert main(["spectral", "--ambient-dim", "20", "--n-bases", "4", "--n-samples", "10",
+                     "--repeats", "2", "--seed", "14", "--out", str(out)]) == 0
+        _, rows = read_table(out)
         spec = KernelSpec("rbf", math.sqrt(10.0))
-        rows = run_spectral_sweep(20, 4, 10, 2, spec, spec, seed=14)
+        want = [
+            [str(row.d), str(row.repeat), *("%.17g" % v for v in (row.s2, row.s3, row.s_hadamard))]
+            for d in range(5)
+            for row in run_overlap_experiment(OverlapExperimentConfig(
+                d=d, ambient_dim=20, n_bases=4, n_samples=10, repeats=2,
+                spec2=spec, spec3=spec, seed=14))
+        ]
+        assert rows == want
         assert len(rows) == 2 * 5
-        assert rows[0][:2] == (0, 0)
-        assert rows[-1][:2] == (4, 1)
+        assert rows[0][:2] == ["0", "0"]
+        assert rows[-1][:2] == ["4", "1"]
+
+    def test_zero_length_scale_rejected(self, tmp_path, capsys):
+        code = main(["spectral", "--ambient-dim", "20", "--n-bases", "2", "--n-samples", "10",
+                     "--repeats", "1", "--seed", "1", "--length-scale", "0",
+                     "--out", str(tmp_path / "spec.csv")])
+        assert code == 1
+        assert "length_scale must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "spec.csv").exists()
 
 
 class TestCalibrateCommand:
@@ -281,7 +306,7 @@ class TestCalibrateCommand:
         assert main(argv + ["--out-dir", str(tmp_path / "plain")]) == 0
         assert "not converged" not in capsys.readouterr().err
 
-        original = cli.fit_calibration
+        original = calibration.fit_calibration
         calls = []
 
         def stalled(*args, **kwargs):
@@ -292,7 +317,7 @@ class TestCalibrateCommand:
                                  final_update_ratio=trace.final_update_ratio)
             return model, trace
 
-        monkeypatch.setattr(cli, "fit_calibration", stalled)
+        monkeypatch.setattr(calibration, "fit_calibration", stalled)
         assert main(argv + ["--out-dir", str(tmp_path / "stalled")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert err == [
@@ -306,6 +331,14 @@ class TestCalibrateCommand:
     def test_requires_some_input(self, capsys):
         assert main(["calibrate", "--seed", "1", "--out-dir", "/tmp/x"]) == 1
         assert capsys.readouterr().err
+
+    def test_too_few_rows_for_the_test_split(self, tmp_path, capsys):
+        # 65 rows hold the 60 training rows but only 5 of the 10 test rows
+        code = main(["calibrate", "--synth-n", "65", "--seed", "1", "--splits", "1",
+                     "--out-dir", str(tmp_path / "cal")])
+        assert code == 1
+        assert "need at least 70 rows" in capsys.readouterr().err
+        assert not (tmp_path / "cal").exists()
 
     def test_well_specified_models_score_alike(self):
         # with no scale effect in the generator both calibration models are
@@ -321,3 +354,14 @@ class TestCalibrateCommand:
         diff = np.mean(by_model["log_difference"])
         assert abs(full - diff) / diff <= 0.10
         assert np.mean(by_model["olr"]) > max(full, diff)
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # the package's import time is measured by the benchmark's setup probe;
+    # kernels defers scipy.spatial to the first distance computation
+    src = str(Path(affinetl.__file__).resolve().parent.parent)
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import affinetl, affinetl.cli; " \
+            "print('scipy.spatial' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"

@@ -126,10 +126,11 @@ class TestCsvIO:
 
     def test_explicit_column_roles(self, tmp_path):
         path = tmp_path / "named.csv"
-        path.write_text("alpha,beta,target\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
-        ds = load_csv(path, y_col="target", fs_cols=["beta"], x_cols=["alpha"])
+        path.write_text("alpha,beta,y\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        ds = load_csv(path, fs_cols=["beta"])
         assert np.array_equal(ds.y, [3.0, 6.0])
         assert np.array_equal(ds.Fs.ravel(), [2.0, 5.0])
+        assert ds.x_names == ["alpha"]
 
     def test_calibration_layout_inferred(self, tmp_path):
         ds = synth_dataset("calibration", n=12, dims=24, noise_sd=0.01, seed=6)
