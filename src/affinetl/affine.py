@@ -132,19 +132,7 @@ def _fitted_values(a, b, c, d, K1, K2, K3, variant: str) -> np.ndarray:
     return K1 @ a + w * (K3 @ c) + d
 
 
-def objective(a, b, c, d: float, K1, K2, K3, y, config: FitConfig) -> float:
-    """Regularized empirical risk at the given dual coefficients.
-
-    Returns loss_scale * ||y - yhat||^2 + lambda1 a'K1a + lambda2 b'K2b
-    + lambda3 c'K3c with loss_scale = 1/n under ``eqn3`` and 1 under
-    ``appendix``; yhat follows the config's variant.
-    """
-    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
-    K1, K2, K3 = (np.asarray(K, dtype=float) for K in (K1, K2, K3))
-    y = np.asarray(y, dtype=float)
-    _check_vectors(K1, K2, K3, y, a, b, c)
-    if config.variant == "full" and d != 0.0:
-        raise ValueError("variant 'full' has no intercept; d must be 0")
+def _objective(a, b, c, d, K1, K2, K3, y, config: FitConfig) -> float:
     r = y - _fitted_values(a, b, c, d, K1, K2, K3, config.variant)
     loss = float(r @ r)
     if config.scale_convention == "eqn3":
@@ -155,6 +143,27 @@ def objective(a, b, c, d: float, K1, K2, K3, y, config: FitConfig) -> float:
         + config.lambda2 * float(b @ (K2 @ b))
         + config.lambda3 * float(c @ (K3 @ c))
     )
+
+
+def _as_arrays(a, b, c, K1, K2, K3, y):
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    K1, K2, K3 = (np.asarray(K, dtype=float) for K in (K1, K2, K3))
+    y = np.asarray(y, dtype=float)
+    _check_vectors(K1, K2, K3, y, a, b, c)
+    return a, b, c, K1, K2, K3, y
+
+
+def objective(a, b, c, d: float, K1, K2, K3, y, config: FitConfig) -> float:
+    """Regularized empirical risk at the given dual coefficients.
+
+    Returns loss_scale * ||y - yhat||^2 + lambda1 a'K1a + lambda2 b'K2b
+    + lambda3 c'K3c with loss_scale = 1/n under ``eqn3`` and 1 under
+    ``appendix``; yhat follows the config's variant.
+    """
+    a, b, c, K1, K2, K3, y = _as_arrays(a, b, c, K1, K2, K3, y)
+    if config.variant == "full" and d != 0.0:
+        raise ValueError("variant 'full' has no intercept; d must be 0")
+    return _objective(a, b, c, d, K1, K2, K3, y, config)
 
 
 def _scaled_ridge(K, weights, target, shrink):
@@ -168,22 +177,9 @@ def _scaled_ridge(K, weights, target, shrink):
     return weights * ridge_solve(Kw, target, shrink)
 
 
-def update_block(which: str, state, K1, K2, K3, y, config: FitConfig):
-    """Exact minimizer of the objective over one block, others fixed.
-
-    ``state`` is the current (a, b, c, d); returns the new value of the
-    requested block (a vector for a/b/c, a float for d).
-    """
-    a, b, c, d = state
-    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
-    K1, K2, K3 = (np.asarray(K, dtype=float) for K in (K1, K2, K3))
-    y = np.asarray(y, dtype=float)
-    _check_vectors(K1, K2, K3, y, a, b, c)
+def _update_block(which, a, b, c, d, K1, K2, K3, y, config: FitConfig):
     n = y.shape[0]
-    variant = config.variant
-    if variant == "constrained":
-        raise ValueError("variant 'constrained' is solved jointly; no block updates")
-    offset = 1.0 if _unit_offset(variant) else 0.0
+    offset = 1.0 if _unit_offset(config.variant) else 0.0
     if which == "a":
         w = K2 @ b + offset
         return ridge_solve(K1, y - w * (K3 @ c) - d, config.shrink(config.lambda1, n))
@@ -195,12 +191,25 @@ def update_block(which: str, state, K1, K2, K3, y, config: FitConfig):
         w = K2 @ b + offset
         target = y - K1 @ a - d
         return _scaled_ridge(K3, w, target, config.shrink(config.lambda3, n))
-    if which == "d":
-        if variant == "full":
-            raise ValueError("variant 'full' has no intercept block")
-        w = K2 @ b + offset
-        return float(np.mean(y - K1 @ a - w * (K3 @ c)))
-    raise ValueError(f"unknown block {which!r}")
+    w = K2 @ b + offset  # which == "d"
+    return float(np.mean(y - K1 @ a - w * (K3 @ c)))
+
+
+def update_block(which: str, state, K1, K2, K3, y, config: FitConfig):
+    """Exact minimizer of the objective over one block, others fixed.
+
+    ``state`` is the current (a, b, c, d); returns the new value of the
+    requested block (a vector for a/b/c, a float for d).
+    """
+    a, b, c, d = state
+    a, b, c, K1, K2, K3, y = _as_arrays(a, b, c, K1, K2, K3, y)
+    if config.variant == "constrained":
+        raise ValueError("variant 'constrained' is solved jointly; no block updates")
+    if which not in ("a", "b", "c", "d"):
+        raise ValueError(f"unknown block {which!r}")
+    if which == "d" and config.variant == "full":
+        raise ValueError("variant 'full' has no intercept block")
+    return _update_block(which, a, b, c, d, K1, K2, K3, y, config)
 
 
 def fit_constrained(K1, K3, y, lambda1: float, lambda3: float):
@@ -295,7 +304,7 @@ def fit(config: FitConfig, X, Fs, y, specs) -> tuple[AffineTLModel, FitTrace]:
         b = np.zeros(n)
         model = AffineTLModel(a, b, c, d, X, Fs, (spec1, spec2, spec3), config.variant)
         # b = 0, so K2 enters neither the fit nor the objective.
-        obj = objective(a, b, c, d, K1, np.zeros((n, n)), K3, y, config)
+        obj = _objective(a, b, c, d, K1, np.zeros((n, n)), K3, y, config)
         return model, FitTrace([obj], iterations=0, converged=True, final_update_ratio=0.0)
 
     K2 = gram(spec2, Fs)
@@ -305,17 +314,19 @@ def fit(config: FitConfig, X, Fs, y, specs) -> tuple[AffineTLModel, FitTrace]:
     c = rng.standard_normal(n)
     d = 0.5 if config.variant == "full_with_intercept" else 0.0
 
+    # The inputs are validated above, so the sweep calls the block kernels
+    # directly rather than the validating update_block/objective.
     def sweep(state):
         a, b, c, d = state
-        a = update_block("a", (a, b, c, d), K1, K2, K3, y, config)
-        b = update_block("b", (a, b, c, d), K1, K2, K3, y, config)
-        c = update_block("c", (a, b, c, d), K1, K2, K3, y, config)
+        a = _update_block("a", a, b, c, d, K1, K2, K3, y, config)
+        b = _update_block("b", a, b, c, d, K1, K2, K3, y, config)
+        c = _update_block("c", a, b, c, d, K1, K2, K3, y, config)
         if config.variant == "full_with_intercept":
-            d = update_block("d", (a, b, c, d), K1, K2, K3, y, config)
+            d = _update_block("d", a, b, c, d, K1, K2, K3, y, config)
         return a, b, c, d
 
     (a, b, c, d), trace = alternate(
-        sweep, lambda s: objective(*s, K1, K2, K3, y, config), (a, b, c, d),
+        sweep, lambda s: _objective(*s, K1, K2, K3, y, config), (a, b, c, d),
         config.tol, config.max_iter, watched=3,
     )
     return AffineTLModel(a, b, c, d, X, Fs, (spec1, spec2, spec3), config.variant), trace

@@ -14,6 +14,12 @@ gamma on the residual y - fs.
 The full model is fit by cyclic exact minimization over the alpha pair,
 beta, and gamma, starting from the reference fits, under the same
 alternating-minimization driver as the affine transfer model.
+
+The penalty is Lambda = l1 I + l2 T for the layout's fixed path Laplacian T,
+so one eigendecomposition T = V diag(mu) V' diagonalizes it for every
+(l1, l2).  With more descriptors than rows, the gamma solves run in the
+dual: an n x n system on G = X Lambda^{-1} X' replaces the p x p normal
+equations, which needs Lambda positive definite, i.e. l1 > 0.
 """
 
 from __future__ import annotations
@@ -104,20 +110,30 @@ class CalibrationModel:
             )
 
 
+def _path_laplacian(layout: BlockLayout) -> np.ndarray:
+    """Block-diagonal path Laplacian: 1 on the diagonal at block ends, 2
+    inside a block, -1 between neighbours that share a block."""
+    same = np.ones(layout.total - 1)  # 1 where coefficients i and i + 1 share a block
+    same[[m - 1 for m in layout.boundaries()]] = 0.0
+    return np.diag(np.r_[same, 0.0] + np.r_[0.0, same]) - np.diag(same, 1) - np.diag(same, -1)
+
+
 def build_fused_penalty(layout: BlockLayout, l1: float, l2: float) -> np.ndarray:
     """Symmetric PSD penalty Lambda with gamma' Lambda gamma = l1 ||gamma||^2
     + l2 * (sum of squared within-block first differences).
 
-    The difference term is the block-diagonal path Laplacian: 1 on the
-    diagonal at block ends, 2 inside a block, -1 between neighbours that
-    share a block.
+    The difference term is the layout's block-diagonal path Laplacian.
     """
     if l1 < 0 or l2 < 0:
         raise ValueError("penalty weights must be nonnegative")
-    same = np.ones(layout.total - 1)  # 1 where coefficients i and i + 1 share a block
-    same[[m - 1 for m in layout.boundaries()]] = 0.0
-    laplacian = np.diag(np.r_[same, 0.0] + np.r_[0.0, same]) - np.diag(same, 1) - np.diag(same, -1)
-    return l1 * np.eye(layout.total) + l2 * laplacian
+    return l1 * np.eye(layout.total) + l2 * _path_laplacian(layout)
+
+
+def _laplacian_eigenbasis(layout: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, V) with path Laplacian T = V diag(mu) V'; mu is clipped at 0, so
+    l1 + l2 mu >= l1 are the eigenvalues of the penalty with weights l1, l2."""
+    mu, V = np.linalg.eigh(_path_laplacian(layout))
+    return np.maximum(mu, 0.0), V
 
 
 def fit_olr(fs, y) -> tuple[float, float]:
@@ -183,16 +199,33 @@ def _argmin_beta(F, fs, y, alpha, Xg, l_beta) -> float:
     return -float(v @ (y - F @ alpha + Xg)) / (float(v @ v) + y.shape[0] * l_beta)
 
 
-def _argmin_gamma(X, F, fs, y, alpha, beta, lam_n) -> np.ndarray:
+def _dual_gamma_basis(X, layout, l1, l2) -> tuple[np.ndarray, np.ndarray]:
+    """G0 = X Lambda^{-1} X' and Lambda^{-1} X' for Lambda = l1 I + l2 T, from
+    one eigendecomposition of the path Laplacian T."""
+    if not l1 > 0:
+        raise ValueError(f"l1 must be positive for the dual gamma solve, got {l1}")
+    mu, V = _laplacian_eigenbasis(layout)
+    XV = X @ V
+    XVd = XV / (l1 + l2 * mu)
+    return XVd @ XV.T, V @ XVd.T
+
+
+def _argmin_gamma(G0, lam_inv_xt, F, fs, y, alpha, beta) -> np.ndarray:
+    """Exact gamma-step in the dual: with w = beta fs + 1 and t = y - F alpha,
+    (w w' o G0 + n I) theta = t and gamma = -Lambda^{-1} X' (w o theta),
+    which minimizes (1/n) ||t + w o (X gamma)||^2 + gamma' Lambda gamma."""
     w = beta * fs + 1.0
-    return -penalized_ls(w[:, None] * X, y - F @ alpha, lam_n)
+    n = y.shape[0]
+    theta = solve_spd(np.outer(w, w) * G0 + n * np.eye(n), y - F @ alpha)
+    return -(lam_inv_xt @ (w * theta))
 
 
 def update_calibration_block(which, state, X, fs, y, l_beta, l1, l2, layout):
     """Exact minimizer of the calibration objective over one block.
 
     ``state`` is (alpha0, alpha1, beta, gamma); ``which`` selects "alpha"
-    (returns a length-2 array), "beta" (a float), or "gamma" (a vector).
+    (returns a length-2 array), "beta" (a float), or "gamma" (a vector; needs
+    l1 > 0).
     """
     X, fs, y = _check_calibration_inputs(X, fs, y, layout)
     alpha0, alpha1, beta, gamma = state
@@ -205,8 +238,7 @@ def update_calibration_block(which, state, X, fs, y, l_beta, l1, l2, layout):
     if which == "beta":
         return _argmin_beta(F, fs, y, alpha, Xg, l_beta)
     if which == "gamma":
-        lam_n = y.shape[0] * build_fused_penalty(layout, l1, l2)
-        return _argmin_gamma(X, F, fs, y, alpha, beta, lam_n)
+        return _argmin_gamma(*_dual_gamma_basis(X, layout, l1, l2), F, fs, y, alpha, beta)
     raise ValueError(f"unknown block {which!r}")
 
 
@@ -228,7 +260,9 @@ def fit_calibration(
     starting predictor reproduces that reference model).  Each update is the
     exact minimizer of the objective over its block, so the trace is
     nonincreasing; :func:`affinetl.affine.alternate` stops on the largest
-    relative change over {alpha, beta, gamma}.
+    relative change over {alpha, beta, gamma}.  The gamma-step is an n x n
+    dual solve on G0 = X Lambda^{-1} X', formed once per fit, which needs
+    ``l1 > 0``.
     """
     if layout is None:
         layout = default_layout()
@@ -236,6 +270,7 @@ def fit_calibration(
     n = y.shape[0]
     if n < 3:
         raise ValueError("need at least three rows")
+    G0, lam_inv_xt = _dual_gamma_basis(X, layout, l1, l2)
 
     alpha = np.array(fit_olr(fs, y))
     beta = 0.0
@@ -244,14 +279,13 @@ def fit_calibration(
     F = np.column_stack([np.ones_like(fs), fs])
     FtF = F.T @ F
     lam = build_fused_penalty(layout, l1, l2)
-    lam_n = n * lam
 
     def sweep(state):
         alpha, beta, gamma = state
         Xg = X @ gamma
         alpha = _argmin_alpha(F, FtF, fs, y, beta, Xg)
         beta = _argmin_beta(F, fs, y, alpha, Xg, l_beta)
-        gamma = _argmin_gamma(X, F, fs, y, alpha, beta, lam_n)
+        gamma = _argmin_gamma(G0, lam_inv_xt, F, fs, y, alpha, beta)
         return alpha, beta, gamma
 
     (alpha, beta, gamma), trace = alternate(
@@ -271,6 +305,31 @@ def predict_calibration(model: CalibrationModel, X, fs) -> np.ndarray:
     if fs.shape[0] != X.shape[0]:
         raise ValueError("X and fs must have the same number of rows")
     return model.alpha0 + model.alpha1 * fs - (model.beta * fs + 1.0) * (X @ model.gamma)
+
+
+def _log_difference_fold_fitter(layout: BlockLayout):
+    """Fold-level fitter for ``grid_search_cv`` that scores the residual
+    model at every (l1, l2) by one n x n dual solve,
+
+        gamma = V D^{-1} V'X' (X V D^{-1} V'X' + I)^{-1} (y - fs),  D = l1 + l2 mu,
+
+    the same minimizer as :func:`fit_log_difference`; X V and X_test V are
+    formed once per fold."""
+    mu, V = _laplacian_eigenbasis(layout)
+
+    def fitter(X, Fs, y, Xt, Ft):
+        XV, XtV = X @ V, Xt @ V
+        z = y - Fs[:, 0]
+        eye = np.eye(z.shape[0])
+
+        def predict_point(params):
+            XVd = XV / (params["l1"] + params["l2"] * mu)
+            theta = solve_spd(XVd @ XV.T + eye, z)
+            return Ft[:, 0] + XtV @ (XVd.T @ theta)
+
+        return predict_point
+
+    return fitter
 
 
 def _fit_full(X, fs, y, params, l_beta, layout):
@@ -295,8 +354,14 @@ def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
 
     The fused penalty weights are cross-validated on the residual model's
     predictions each split; the full model reuses that choice unless
-    ``full_cv`` asks for its own (much slower) search.
+    ``full_cv`` asks for its own (much slower) search.  Every grid ``l1``
+    must be positive and every ``l2`` nonnegative.
     """
+    if splits < 1:
+        raise ValueError(f"splits must be at least 1, got {splits}")
+    l1s, l2s = grid.params.get("l1", ()), grid.params.get("l2", ())
+    if not (l1s and l2s and min(l1s) > 0 and min(l2s) >= 0):
+        raise ValueError("the calibration grid needs l1 values > 0 and l2 values >= 0")
     layout = ds.metadata.get("layout", default_layout())
     if ds.Fs.shape[1] != 1:
         raise ValueError("calibration data needs a single fs column")
@@ -317,14 +382,8 @@ def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
         a0, a1 = fit_olr(fs_tr, train.y)
         rows.append(("olr", split, rmse(a0 + a1 * fs_te, test.y)))
 
-        def diff_fitter(X, Fs, y, Xt, Ft):
-            def predict_point(params):
-                gamma = fit_log_difference(X, Fs[:, 0], y, params["l1"], params["l2"], layout)
-                return Ft[:, 0] + Xt @ gamma
-
-            return predict_point
-
-        cv = grid_search_cv(diff_fitter, grid, train.X, train.Fs, train.y,
+        cv = grid_search_cv(_log_difference_fold_fitter(layout), grid,
+                            train.X, train.Fs, train.y,
                             k=cv_folds, seed=child_seed(seed, "calibration-cv", split))
         l1, l2 = cv.best_params["l1"], cv.best_params["l2"]
         gamma_diff = fit_log_difference(train.X, fs_tr, train.y, l1, l2, layout)

@@ -14,7 +14,7 @@ from affinetl.affine import (
 )
 from affinetl.data import synth_dataset
 from affinetl.kernels import KernelSpec, gram
-from affinetl.model_selection import rmse
+from affinetl.model_selection import AFFINE_FULL_GRID, rmse
 from affinetl.solvers import ridge_solve
 
 from conftest import fd_gradient, numeric_quadratic_argmin
@@ -353,6 +353,52 @@ class TestFit:
                 return objective(*s, K1, K2, K3, y, cfg)
             x = np.atleast_1d(np.asarray(state[slot], dtype=float))
             assert np.max(np.abs(fd_gradient(f, x))) <= tol
+
+
+def composed_fit(config, X, Fs, y, specs):
+    """The cyclic fit written out from the public, validating block updates
+    and objective under ``alternate``: the init of :func:`fit`, then sweeps
+    over a, b, c (and d with an intercept)."""
+    n = len(y)
+    K1, K2, K3 = gram(specs[0], Fs), gram(specs[1], Fs), gram(specs[2], X)
+    rng = np.random.default_rng(config.seed)
+    a = ridge_solve(K1, y, config.shrink(config.lambda1, n))
+    b, c = rng.standard_normal(n), rng.standard_normal(n)
+    d = 0.5 if config.variant == "full_with_intercept" else 0.0
+    blocks = "abcd" if config.variant == "full_with_intercept" else "abc"
+
+    def sweep(state):
+        state = list(state)
+        for slot, which in enumerate(blocks):
+            state[slot] = update_block(which, tuple(state), K1, K2, K3, y, config)
+        return tuple(state)
+
+    return alternate(sweep, lambda s: objective(*s, K1, K2, K3, y, config), (a, b, c, d),
+                     config.tol, config.max_iter, watched=3)
+
+
+class TestFitMatchesPublicBlockSweep:
+    POINTS = list(AFFINE_FULL_GRID.points())[::8]
+
+    @pytest.mark.parametrize("variant", ["full", "full_with_intercept"])
+    @pytest.mark.parametrize("convention", ["eqn3", "appendix"])
+    def test_bit_identical(self, variant, convention):
+        assert len(self.POINTS) == 8
+        ds = synth_dataset("offset_transfer", 60, dims=3, noise_sd=0.05, seed=5)
+        rows = np.random.default_rng(6).permutation(60)[:16]
+        X, Fs, y = ds.X[rows], ds.Fs[rows], ds.y[rows]
+        for k, point in enumerate(self.POINTS):
+            cfg = FitConfig(point["lambda1"], point["lambda2"], point["lambda3"],
+                            variant=variant, scale_convention=convention, seed=k,
+                            max_iter=200)
+            model, trace = fit(cfg, X, Fs, y, SPECS)
+            (a, b, c, d), want = composed_fit(cfg, X, Fs, y, SPECS)
+            for got_arr, want_arr in ((model.a, a), (model.b, b), (model.c, c),
+                                      (model.d, d), (trace.objectives, want.objectives)):
+                assert np.asarray(got_arr).tobytes() == np.asarray(want_arr).tobytes()
+            assert (trace.iterations, trace.converged) == (want.iterations, want.converged)
+            assert np.float64(trace.final_update_ratio).tobytes() == \
+                np.float64(want.final_update_ratio).tobytes()
 
 
 class TestUpdateRatio:

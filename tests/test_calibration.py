@@ -16,7 +16,7 @@ from affinetl.calibration import (
     update_calibration_block,
 )
 from affinetl.data import synth_dataset
-from affinetl.model_selection import Grid, kfold_split
+from affinetl.model_selection import CALIBRATION_GRID, Grid, child_seed, grid_search_cv, kfold_split
 from affinetl.solvers import penalized_ls
 
 from conftest import fd_gradient, numeric_quadratic_argmin
@@ -100,6 +100,15 @@ class TestBuildFusedPenalty:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             build_fused_penalty(SMALL, -1.0, 0.0)
+
+    def test_zero_ridge_weight_accepted(self):
+        # l1 = 0 leaves the singular smoothness term: one null vector, the
+        # constant, per block
+        layout = default_layout()
+        lam = build_fused_penalty(layout, 0.0, 2.0)
+        assert np.array_equal(lam, build_fused_penalty(layout, 1.0, 2.0) - np.eye(190))
+        assert np.sum(np.linalg.eigvalsh(lam) < 1e-10) == len(layout.blocks)
+        assert np.max(np.abs(lam @ np.r_[np.ones(10), np.zeros(180)])) == 0.0
 
 
 class TestFitOLR:
@@ -220,6 +229,104 @@ class TestUpdateCalibrationBlock:
             assert np.max(np.abs(fd_gradient(f, x))) <= 1e-6
 
 
+def primal_gamma_step(X, fs, y, alpha, beta, l1, l2, layout):
+    """The gamma-step as p x p penalized least squares (test oracle)."""
+    w = beta * fs + 1.0
+    lam_n = len(y) * build_fused_penalty(layout, l1, l2)
+    return -penalized_ls(w[:, None] * X, y - alpha[0] - alpha[1] * fs, lam_n)
+
+
+class TestDualGammaStep:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("l1,l2", [(0.01 / 60, 50.0 / 60), (1.0, 2.5), (0.3, 0.0)])
+    def test_matches_primal_minimizer_more_descriptors_than_rows(self, seed, l1, l2):
+        ds = synth_dataset("calibration", 60, 190, 0.05, seed)
+        layout = ds.metadata["layout"]
+        X, fs, y = ds.X, ds.Fs[:, 0], ds.y
+        rng = np.random.default_rng(seed)
+        alpha, beta = fit_olr(fs, y), -0.2
+        state = (*alpha, beta, 0.01 * rng.normal(size=190))
+        got = update_calibration_block("gamma", state, X, fs, y, 1.0, l1, l2, layout)
+        want = primal_gamma_step(X, fs, y, alpha, beta, l1, l2, layout)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_matches_primal_minimizer_more_rows_than_descriptors(self):
+        rng = np.random.default_rng(17)
+        X, fs, y, _ = make_calibration_data(rng, n=40, gamma_scale=0.4, beta=-0.1, noise=0.1)
+        state = (0.2, 0.9, 0.05, np.zeros(6))
+        got = update_calibration_block("gamma", state, X, fs, y, 1.0, 0.2, 1.5, SMALL)
+        want = primal_gamma_step(X, fs, y, (0.2, 0.9), 0.05, 0.2, 1.5, SMALL)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_fit_uses_the_dual_step(self, monkeypatch):
+        # every gamma-step of a fit is one n x n solve, not a p x p one
+        rng = np.random.default_rng(18)
+        X, fs, y, _ = make_calibration_data(rng, n=5, gamma_scale=0.4, noise=0.1)
+        sizes = []
+        original = calibration.solve_spd
+
+        def recording(A, b, info=None):
+            sizes.append(np.shape(A)[0])
+            return original(A, b, info=info)
+
+        monkeypatch.setattr(calibration, "solve_spd", recording)
+        _, trace = fit_calibration(X, fs, y, l1=0.2, l2=0.8, layout=SMALL, max_iter=7)
+        # fit_olr's 2 x 2 solve, then per sweep the alpha (2 x 2) and the
+        # dual gamma (n x n) solve; the residual-ridge initializer solves
+        # through penalized_ls, which this does not record
+        assert sizes == [2] + [2, 5] * trace.iterations
+
+    @pytest.mark.parametrize("l1", [0.0, -0.1])
+    def test_nonpositive_l1_rejected(self, l1):
+        rng = np.random.default_rng(19)
+        X, fs, y, _ = make_calibration_data(rng, n=12, gamma_scale=0.3, noise=0.1)
+        with pytest.raises(ValueError, match="l1"):
+            fit_calibration(X, fs, y, l1=l1, l2=1.0, layout=SMALL)
+        with pytest.raises(ValueError, match="l1"):
+            update_calibration_block("gamma", (0.0, 1.0, 0.0, np.zeros(6)), X, fs, y,
+                                     1.0, l1, 1.0, SMALL)
+
+
+def primal_residual_fitter(layout):
+    """Per-point residual-model search: one p x p fit_log_difference per
+    (fold, grid point) (test oracle for the dual fold fitter)."""
+    def fitter(X, Fs, y, Xt, Ft):
+        def predict_point(params):
+            gamma = fit_log_difference(X, Fs[:, 0], y, params["l1"], params["l2"], layout)
+            return Ft[:, 0] + Xt @ gamma
+
+        return predict_point
+
+    return fitter
+
+
+class TestResidualModelCV:
+    @staticmethod
+    def compare(ds, train_size, seed):
+        # the training rows and fold seed of split 0 of run_calibration_experiment
+        layout = ds.metadata["layout"]
+        perm = np.random.default_rng(child_seed(seed, "calibration", 0)).permutation(ds.n)
+        train = ds.subset(perm[:train_size])
+        args = (CALIBRATION_GRID, train.X, train.Fs, train.y)
+        cv_seed = child_seed(seed, "calibration-cv", 0)
+        got = grid_search_cv(calibration._log_difference_fold_fitter(layout), *args,
+                             k=5, seed=cv_seed)
+        want = grid_search_cv(primal_residual_fitter(layout), *args, k=5, seed=cv_seed)
+        assert got.best_params == want.best_params
+        means = np.array([[g[1], w[1]] for g, w in zip(got.table, want.table)])
+        assert np.all(np.isfinite(means))
+        assert np.max(np.abs(means[:, 0] / means[:, 1] - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_cli_default_problem(self, seed):
+        # 190 descriptors, 48 rows per training fold
+        self.compare(synth_dataset("calibration", 200, 190, 0.05, seed), 60, seed)
+
+    def test_more_rows_than_descriptors(self):
+        # 24 descriptors, 80 rows per training fold
+        self.compare(synth_dataset("calibration", 120, 24, 0.05, seed=7), 100, 7)
+
+
 class TestFitCalibration:
     def test_pure_line_data_stays_at_olr(self):
         rng = np.random.default_rng(8)
@@ -334,6 +441,25 @@ class TestRunCalibrationExperiment:
         assert len(searches) == 2  # residual model, then full model
         chosen = searches[-1].best_params
         assert fits[-1] == (31, chosen["l1"] / 31, chosen["l2"] / 31)
+
+    def test_splits_must_be_positive(self):
+        ds = synth_dataset("calibration", n=40, dims=24, noise_sd=0.02, seed=16)
+        with pytest.raises(ValueError, match="splits must be at least 1"):
+            run_calibration_experiment(ds, seed=1, splits=0, train_size=30, test_size=8)
+
+    @pytest.mark.parametrize("grid", [Grid(l1=(0.5, 0.0), l2=(50.0,)),
+                                      Grid(l1=(-1.0,), l2=(50.0,)),
+                                      Grid(l1=(0.5,), l2=(50.0, -1.0))])
+    def test_grid_weights_checked_up_front(self, grid, monkeypatch):
+        # a point the dual solve cannot take is an error, not a +inf CV score
+        searches = []
+        monkeypatch.setattr(calibration, "grid_search_cv",
+                            lambda *a, **k: searches.append(a))
+        ds = synth_dataset("calibration", n=40, dims=24, noise_sd=0.02, seed=16)
+        with pytest.raises(ValueError, match="l1 values > 0"):
+            run_calibration_experiment(ds, seed=1, splits=1, train_size=30, test_size=8,
+                                       grid=grid)
+        assert searches == []
 
     def test_rows_must_cover_train_and_test(self):
         ds = synth_dataset("calibration", n=38, dims=24, noise_sd=0.02, seed=16)

@@ -340,6 +340,14 @@ class TestCalibrateCommand:
         assert "need at least 70 rows" in capsys.readouterr().err
         assert not (tmp_path / "cal").exists()
 
+    def test_zero_splits_rejected(self, tmp_path, capsys):
+        code = main(["calibrate", "--synth-n", "40", "--dims", "24", "--seed", "1",
+                     "--splits", "0", "--train-size", "30", "--test-size", "8",
+                     "--out-dir", str(tmp_path / "cal")])
+        assert code == 1
+        assert capsys.readouterr().err == "affinetl: error: splits must be at least 1, got 0\n"
+        assert not (tmp_path / "cal").exists()
+
     def test_well_specified_models_score_alike(self):
         # with no scale effect in the generator both calibration models are
         # correctly specified, so their test errors should nearly coincide,
@@ -365,3 +373,16 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_calibrate_leaves_scipy_optimize_unloaded(tmp_path):
+    # importing scipy.optimize adds about 12 MB of resident memory, which the
+    # benchmark's peak_rss_mb on its calibrate part would show
+    src = str(Path(affinetl.__file__).resolve().parent.parent)
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); from affinetl.cli import main; " \
+            "code = main(['calibrate', '--synth-n', '40', '--dims', '24', '--seed', '1', " \
+            "'--splits', '1', '--train-size', '30', '--test-size', '8', '--out-dir', sys.argv[2]]); " \
+            "print(code, 'scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe, src, str(tmp_path / "cal")],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"

@@ -1,16 +1,58 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from affinetl.kernels import KernelSpec, gram
 from affinetl.solvers import (
     SingularSystemError,
     penalized_ls,
     ridge_solve,
+    solve_spd,
 )
 
 
 def random_spd(rng, n, jitter=1e-3):
     A = rng.normal(size=(n, n))
     return A @ A.T + jitter * np.eye(n)
+
+
+class TestSolveSPD:
+    def test_bit_identical_to_scipy_cholesky_route(self):
+        # the direct dpotrf/dpotrs calls reproduce cho_factor/cho_solve
+        # (lower factor, one refinement step) bit for bit
+        rng = np.random.default_rng(30)
+        for n, k in ((1, 0), (7, 0), (30, 0), (30, 2), (190, 0)):
+            A = random_spd(rng, n)
+            b = rng.normal(size=(n, k) if k else n)
+            factor = cho_factor(A, lower=True, check_finite=False)
+            want = cho_solve(factor, b, check_finite=False)
+            want += cho_solve(factor, b - A @ want, check_finite=False)
+            assert solve_spd(A, b).tobytes() == want.tobytes()
+
+    def test_duplicate_rows_need_jitter(self):
+        X = np.array([[0.0, 1.0], [0.5, -1.0], [0.0, 1.0], [2.0, 0.3]])
+        K = gram(KernelSpec("rbf", 1.0), X)
+        y = np.array([1.0, -0.5, 1.0, 0.2])
+        info = {}
+        c = solve_spd(K, y, info=info)
+        assert info["jitter"] > 0
+        assert np.max(np.abs(K @ c - y)) < 1e-6
+
+    def test_no_jitter_on_spd(self):
+        info = {}
+        solve_spd(random_spd(np.random.default_rng(31), 5), np.ones(5), info=info)
+        assert info["jitter"] == 0.0
+
+    @pytest.mark.parametrize("A", [np.diag([3.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])])
+    def test_indefinite_raises(self, A):
+        with pytest.raises(SingularSystemError):
+            solve_spd(A, np.ones(2))
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError):
+            solve_spd(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(ValueError):
+            solve_spd(np.eye(2), np.ones(3))
 
 
 class TestRidgeSolve:
