@@ -126,10 +126,25 @@ def _check_vectors(K1, K2, K3, y, a, b, c):
 
 
 def _fitted_values(a, b, c, d, K1, K2, K3, variant: str) -> np.ndarray:
-    w = K2 @ b
-    if _unit_offset(variant):
-        w = w + 1.0
+    """Predictions from Grams (or cross-Grams against the training rows);
+    K2 is None for the constrained variant, whose g2 is 1."""
+    if K2 is None:
+        w = 1.0
+    else:
+        w = K2 @ b
+        if _unit_offset(variant):
+            w = w + 1.0
     return K1 @ a + w * (K3 @ c) + d
+
+
+def _grams(specs, variant: str, X, Fs, X2=None, Fs2=None):
+    """(K1, K2, K3) between the rows of (X, Fs) and those of (X2, Fs2), or
+    among the rows of (X, Fs) when those are omitted.  K2 is None for the
+    constrained variant, which never needs g2's Gram."""
+    spec1, spec2, spec3 = specs
+    K1 = gram(spec1, Fs, Fs2)
+    K2 = None if variant == "constrained" else gram(spec2, Fs, Fs2)
+    return K1, K2, gram(spec3, X, X2)
 
 
 def _objective(a, b, c, d, K1, K2, K3, y, config: FitConfig) -> float:
@@ -292,30 +307,33 @@ def fit(config: FitConfig, X, Fs, y, specs) -> tuple[AffineTLModel, FitTrace]:
         raise ValueError("need at least two training rows")
     if X.shape[0] != n or Fs.shape[0] != n:
         raise ValueError("X, Fs, y must have the same number of rows")
-    spec1, spec2, spec3 = specs
+    specs = tuple(specs)
+    (a, b, c, d), trace = _fit_grams(config, *_grams(specs, config.variant, X, Fs), y)
+    return AffineTLModel(a, b, c, d, X, Fs, specs, config.variant), trace
 
-    K1 = gram(spec1, Fs)
-    K3 = gram(spec3, X)
 
+def _fit_grams(config: FitConfig, K1, K2, K3, y):
+    """``fit`` on validated inputs given as their Grams (K2 None for the
+    constrained variant); returns ((a, b, c, d), trace)."""
+    n = y.shape[0]
     if config.variant == "constrained":
         a, c, d = fit_constrained(
             K1, K3, y, config.shrink(config.lambda1, n), config.shrink(config.lambda3, n)
         )
         b = np.zeros(n)
-        model = AffineTLModel(a, b, c, d, X, Fs, (spec1, spec2, spec3), config.variant)
         # b = 0, so K2 enters neither the fit nor the objective.
         obj = _objective(a, b, c, d, K1, np.zeros((n, n)), K3, y, config)
-        return model, FitTrace([obj], iterations=0, converged=True, final_update_ratio=0.0)
+        return (a, b, c, d), FitTrace([obj], iterations=0, converged=True,
+                                      final_update_ratio=0.0)
 
-    K2 = gram(spec2, Fs)
     rng = np.random.default_rng(config.seed)
     a = ridge_solve(K1, y, config.shrink(config.lambda1, n))
     b = rng.standard_normal(n)
     c = rng.standard_normal(n)
     d = 0.5 if config.variant == "full_with_intercept" else 0.0
 
-    # The inputs are validated above, so the sweep calls the block kernels
-    # directly rather than the validating update_block/objective.
+    # The inputs are validated by ``fit``, so the sweep calls the block
+    # kernels directly rather than the validating update_block/objective.
     def sweep(state):
         a, b, c, d = state
         a = _update_block("a", a, b, c, d, K1, K2, K3, y, config)
@@ -325,11 +343,10 @@ def fit(config: FitConfig, X, Fs, y, specs) -> tuple[AffineTLModel, FitTrace]:
             d = _update_block("d", a, b, c, d, K1, K2, K3, y, config)
         return a, b, c, d
 
-    (a, b, c, d), trace = alternate(
+    return alternate(
         sweep, lambda s: _objective(*s, K1, K2, K3, y, config), (a, b, c, d),
         config.tol, config.max_iter, watched=3,
     )
-    return AffineTLModel(a, b, c, d, X, Fs, (spec1, spec2, spec3), config.variant), trace
 
 
 def predict(model: AffineTLModel, Xnew, FsNew) -> np.ndarray:
@@ -342,13 +359,5 @@ def predict(model: AffineTLModel, Xnew, FsNew) -> np.ndarray:
         FsNew = FsNew[:, None]
     if Xnew.shape[0] != FsNew.shape[0]:
         raise ValueError("Xnew and FsNew must have the same number of rows")
-    spec1, spec2, spec3 = model.specs
-    K1s = gram(spec1, FsNew, model.train_Fs)
-    if model.variant == "constrained":
-        w = 1.0
-    else:
-        w = gram(spec2, FsNew, model.train_Fs) @ model.b
-        if _unit_offset(model.variant):
-            w = w + 1.0
-    K3s = gram(spec3, Xnew, model.train_X)
-    return K1s @ model.a + w * (K3s @ model.c) + model.d
+    grams = _grams(model.specs, model.variant, Xnew, FsNew, model.train_X, model.train_Fs)
+    return _fitted_values(model.a, model.b, model.c, model.d, *grams, model.variant)

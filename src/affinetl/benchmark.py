@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import FitConfig, fit, predict
+from .affine import FitConfig, _fit_grams, _fitted_values, _grams, fit, predict
 from .baselines import fit_baseline, predict_baseline, scale_target, single_stage_inputs
 from .data import Dataset
 from .kernels import KernelSpec, gram
@@ -155,6 +155,8 @@ def _fit_two_stage(kind, train: Dataset, folds, seed, spec_fs, spec_x):
 
 
 def _fit_affine(variant, train: Dataset, folds, seed, specs, config):
+    """CV over the affine grid, then a refit on all of ``train``.  Each fold
+    builds its Grams and cross-Grams once; every grid point fits on them."""
     grid = AFFINE_CONSTRAINED_GRID if variant == "constrained" else AFFINE_FULL_GRID
 
     def make_config(params):
@@ -168,7 +170,14 @@ def _fit_affine(variant, train: Dataset, folds, seed, specs, config):
         )
 
     def fitter(X, Fs, y, Xt, Ft):
-        return lambda params: predict(fit(make_config(params), X, Fs, y, specs)[0], Xt, Ft)
+        grams = _grams(specs, variant, X, Fs)
+        cross = _grams(specs, variant, Xt, Ft, X, Fs)
+
+        def predict_point(params):
+            (a, b, c, d), _ = _fit_grams(make_config(params), *grams, y)
+            return _fitted_values(a, b, c, d, *cross, variant)
+
+        return predict_point
 
     res = grid_search_cv(fitter, grid, train.X, train.Fs, train.y,
                          k=folds, seed=child_seed(seed, "cv"))

@@ -124,9 +124,11 @@ def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> C
     Fs_test)`` is called once per fold, does the work that every grid point
     shares there, and returns ``predict(params) -> yhat_test``, which is
     called once per grid point.  Both must be deterministic given their
-    inputs.  All grid points share one fold split.  If the fold call raises,
-    every point scores +inf; if ``predict`` raises, only that point does.
-    Ties go to the first point in grid order.
+    inputs.  All grid points share one fold split, and a fold's predictions
+    are scored together, with one vectorized RMSE.  If the fold call raises,
+    every point scores +inf; if ``predict`` raises or returns the wrong
+    number of values, only that point does.  Ties go to the first point in
+    grid order.
     """
     X = np.asarray(X, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
@@ -140,13 +142,26 @@ def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> C
         except Exception:
             fold_rmses = [None] * len(points)
             break
+        y_test = y[test]
+        preds, scored = [], []
         for i, params in enumerate(points):
             if fold_rmses[i] is None:
                 continue
             try:
-                fold_rmses[i].append(rmse(predict_fn(params), y[test]))
+                yhat = np.asarray(predict_fn(params), dtype=float).ravel()
             except Exception:
+                yhat = None
+            if yhat is None or yhat.shape != y_test.shape:
                 fold_rmses[i] = None
+                continue
+            preds.append(yhat)
+            scored.append(i)
+        if scored:
+            # Row by row this is exactly ``rmse``: the same pairwise sum per
+            # contiguous row, the same division and square root.
+            diff = np.stack(preds) - y_test
+            for i, score in zip(scored, np.sqrt(np.mean(diff * diff, axis=1)).tolist()):
+                fold_rmses[i].append(score)
     table = []
     best_params = None
     best_mean = math.inf

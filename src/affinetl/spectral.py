@@ -69,6 +69,8 @@ class OverlapExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_bases < 1:
+            raise ValueError(f"n_bases must be at least 1, got {self.n_bases}")
         if not 0 <= self.d <= self.n_bases:
             raise ValueError(f"overlap d must be in [0, {self.n_bases}], got {self.d}")
         if self.n_bases > self.ambient_dim // 2:
@@ -89,9 +91,10 @@ def eigvals_desc(K) -> np.ndarray:
     A = np.asarray(K, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(A)))) if A.size else 1.0
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * scale):
-        raise ValueError("matrix must be symmetric")
+    if not np.array_equal(A, A.T):
+        scale = max(1.0, float(np.max(np.abs(A))))
+        if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * scale):
+            raise ValueError("matrix must be symmetric")
     vals = np.linalg.eigvalsh(A)[::-1]
     if vals.size and vals[-1] < -_NEG_EIG_TOL:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {vals[-1]:.3e}")
@@ -130,31 +133,32 @@ def decay_rate(K, floor: float = 0.01, eig_tol: float = 1e-10) -> DecayEstimate:
     return DecayEstimate(min(s, 1.0), used, False)
 
 
-def _overlap_samples(rng: np.random.Generator, cfg: OverlapExperimentConfig):
-    """One repeat's (X, Fs) sample pair at overlap level cfg.d.
+def _overlap_coordinates(rng: np.random.Generator, cfg: OverlapExperimentConfig):
+    """One repeat's (X, Fs) sample pair at overlap level cfg.d, in frame
+    coordinates.
 
-    Sample i of x places i.i.d. normal coefficients on an orthonormal frame;
-    sample i of fs reuses x's coefficients on the d shared directions and
-    places fresh i.i.d. coefficients on directions from the orthogonal
-    complement.  The reuse is what couples the two Gram matrices: without it
-    the pair (K2, K3) would not depend on d at all, because orthonormal
-    frames leave pairwise sample geometry a function of coefficients only.
+    Sample i of x places i.i.d. normal coefficients on the first n_bases
+    directions of a random orthonormal frame of the ambient space; sample i
+    of fs reuses x's coefficients on d of those directions and places fresh
+    i.i.d. coefficients on n_bases - d directions from their orthogonal
+    complement.  The reuse is what couples the two Gram matrices: without
+    it the pair (K2, K3) would not depend on d at all.
 
-    Draw order is fixed (frame, x-coefficients, fs-coefficients, then the
-    index selection) so repeats paired across different d share frames and
-    coefficients.
+    Every kernel family sees samples only through distances and inner
+    products, which an orthonormal frame preserves, so the samples are
+    returned as their coefficients on the directions they use: x as its
+    n_bases coefficients, fs as its d shared coefficients followed by its
+    n_bases - d fresh ones.  The frame is still drawn (and dropped), so the
+    generator stream is that of the ambient construction (frame,
+    x-coefficients, fs-coefficients, shared directions) and repeats paired
+    across different d share coefficients.
     """
-    Q, _ = np.linalg.qr(rng.standard_normal((cfg.ambient_dim, cfg.ambient_dim)))
-    coeff_x = rng.standard_normal((cfg.n_samples, cfg.n_bases))
-    coeff_fs = rng.standard_normal((cfg.n_samples, cfg.n_bases))
-    basis_x = Q[:, : cfg.n_bases]
-    shared = rng.choice(cfg.n_bases, size=cfg.d, replace=False).astype(int)
-    extra = cfg.n_bases + rng.choice(
-        cfg.ambient_dim - cfg.n_bases, size=cfg.n_bases - cfg.d, replace=False
-    ).astype(int)
-    X = coeff_x @ basis_x.T
-    Fs = coeff_x[:, shared] @ Q[:, shared].T + coeff_fs[:, : cfg.n_bases - cfg.d] @ Q[:, extra].T
-    return X, Fs
+    k = cfg.n_bases
+    rng.standard_normal((cfg.ambient_dim, cfg.ambient_dim))
+    coeff_x = rng.standard_normal((cfg.n_samples, k))
+    coeff_fs = rng.standard_normal((cfg.n_samples, k))
+    shared = rng.choice(k, size=cfg.d, replace=False)
+    return coeff_x, np.hstack([coeff_x[:, shared], coeff_fs[:, : k - cfg.d]])
 
 
 def run_overlap_experiment(cfg: OverlapExperimentConfig) -> list[OverlapRow]:
@@ -166,7 +170,7 @@ def run_overlap_experiment(cfg: OverlapExperimentConfig) -> list[OverlapRow]:
     rows = []
     for r in range(cfg.repeats):
         rng = np.random.default_rng(cfg.seed + r)
-        X, Fs = _overlap_samples(rng, cfg)
+        X, Fs = _overlap_coordinates(rng, cfg)
         n = cfg.n_samples
         K2 = gram(cfg.spec2, Fs) / n
         K3 = gram(cfg.spec3, X) / n

@@ -7,7 +7,14 @@ evaluations (central-difference gradient and Hessian, one dense solve),
 independent of every closed-form solve path in the package.
 """
 
-import numpy as np
+import os
+
+# One BLAS thread, set before numpy loads BLAS: on small machines extra
+# threads make the 190 x 190 calibration algebra several times slower.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 
 def numeric_quadratic_argmin(f, dim: int, h: float = 0.25) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affinetl import benchmark
+from affinetl.affine import FitConfig, fit, predict
 from affinetl.baselines import fit_baseline, predict_baseline
 from affinetl.benchmark import (
     BenchmarkConfig,
@@ -14,7 +15,13 @@ from affinetl.benchmark import (
 )
 from affinetl.data import synth_dataset
 from affinetl.kernels import KernelSpec, gram
-from affinetl.model_selection import KRR_SHRINK_GRID, kfold_split, rmse
+from affinetl.model_selection import (
+    AFFINE_CONSTRAINED_GRID,
+    KRR_SHRINK_GRID,
+    Grid,
+    kfold_split,
+    rmse,
+)
 
 
 class TestChildSeed:
@@ -127,8 +134,9 @@ class TestRunBenchmark:
         assert all(np.isfinite(r[3]) and r[3] < 5.0 for r in report.rows)
 
     def test_affine_const_cell_builds_no_g2_gram(self, monkeypatch):
-        # 16 grid points x 5 folds x (2 Grams in fit + 2 in predict), plus the
-        # final fit and test prediction; building g2's Gram too would make 486
+        # 5 folds x (2 training Grams + 2 cross-Grams), shared by the 16 grid
+        # points, plus the final fit and test prediction (2 + 2); building
+        # g2's Grams too would make 5 x 6 + 6 = 36
         from affinetl import affine
 
         calls = []
@@ -143,7 +151,7 @@ class TestRunBenchmark:
                                  repeats=1)
         report = run_benchmark(ds, config)
         assert report.failures == 0
-        assert len(calls) == 324
+        assert len(calls) == 24
 
     def test_failed_cell_recorded_as_nan(self, capsys):
         ds = self.make_dataset()
@@ -310,3 +318,51 @@ class TestFoldLevelKRR:
                                rtol=1e-13, atol=1e-13)
             assert np.allclose(gram(spec, Z[te], Z[tr]), K[np.ix_(te, tr)],
                                rtol=1e-13, atol=1e-13)
+
+
+class TestFoldLevelAffine:
+    """The affine search builds each fold's Grams and cross-Grams once; every
+    grid point must score as a fresh ``fit`` and ``predict`` at that
+    (point, fold) would, bit for bit."""
+
+    @pytest.mark.parametrize("variant, grid", [
+        ("constrained", AFFINE_CONSTRAINED_GRID),
+        ("full_with_intercept", Grid(lambda1=(1e-2, 1.0), lambda2=(0.1,), lambda3=(0.1,))),
+    ])
+    def test_matches_per_point_fits(self, monkeypatch, variant, grid):
+        ds = synth_dataset("offset_transfer", 300, dims=3, noise_sd=0.05, seed=7)
+        train = ds.subset(np.random.default_rng(4).choice(ds.n, 12, replace=False))
+        ells = length_scales("sqrt_dim", ds.X.shape[1], ds.Fs.shape[1])
+        specs = (KernelSpec("rbf", ells["fs"]),) * 2 + (KernelSpec("rbf", ells["g3"]),)
+        config = BenchmarkConfig(seed=1, scale_convention="appendix")
+        seed = child_seed(9, variant)
+        tables = []
+        original = benchmark.grid_search_cv
+
+        def recording(*args, **kwargs):
+            res = original(*args, **kwargs)
+            tables.append(res.table)
+            return res
+
+        monkeypatch.setattr(benchmark, "grid_search_cv", recording)
+        monkeypatch.setattr(benchmark, "AFFINE_FULL_GRID", grid)
+        model = benchmark._fit_affine(variant, train, 3, seed, specs, config)
+
+        def fit_config(params):
+            return FitConfig(params["lambda1"], params.get("lambda2", 1.0), params["lambda3"],
+                             variant=variant, seed=child_seed(seed, "init"),
+                             scale_convention="appendix")
+
+        X, Fs, y = train.X, train.Fs, train.y
+        want = []
+        for params in grid.points():
+            scores = [rmse(predict(fit(fit_config(params), X[tr], Fs[tr], y[tr], specs)[0],
+                                   X[te], Fs[te]), y[te])
+                      for tr, te in kfold_split(train.n, 3, child_seed(seed, "cv"))]
+            want.append((params, float(np.mean(scores)), scores))
+        assert tables == [want]
+        best = min(range(len(want)), key=lambda i: (want[i][1], i))
+        ref, _ = fit(fit_config(want[best][0]), X, Fs, y, specs)
+        for name in ("a", "b", "c"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name))
+        assert model.d == ref.d

@@ -208,3 +208,51 @@ class TestGridSearchCV:
         as_map1 = {p["shrink"]: m for p, m, _ in r1.table}
         as_map2 = {p["shrink"]: m for p, m, _ in r2.table}
         assert as_map1 == as_map2
+
+
+def per_point_grid_search_cv(fitter, grid, X, Fs, y, k, seed):
+    """The search scored one ``rmse`` call per (point, fold) (test oracle)."""
+    folds = kfold_split(len(y), k, seed)
+    points = list(grid.points())
+    scores = [[] for _ in points]
+    for train, test in folds:
+        predict_fn = fitter(X[train], Fs[train], y[train], X[test], Fs[test])
+        for i, params in enumerate(points):
+            if scores[i] is None:
+                continue
+            try:
+                scores[i].append(rmse(predict_fn(params), y[test]))
+            except Exception:
+                scores[i] = None
+    table = [(params, math.inf if s is None else float(np.mean(s)), s or [])
+             for params, s in zip(points, scores)]
+    best = min(range(len(table)), key=lambda i: (table[i][1], i))
+    return table[best][0], table
+
+
+class TestStackedScoring:
+    def test_matches_per_point_rmse_bit_for_bit(self):
+        # p = 2 raises, p = 3 returns one value too many, p = 4 a column
+        grid = Grid(p=[0.5, 1.0, 2.0, 3.0, 4.0, 1.5])
+
+        def fitter(Xtr, Fstr, ytr, Xt, Ft):
+            def predict(params):
+                p = params["p"]
+                if p == 2.0:
+                    raise np.linalg.LinAlgError("singular")
+                yhat = np.sin(p * Xt[:, 0]) * 10.0 ** (3 * p - 6) + Ft[:, 0]
+                if p == 3.0:
+                    return np.append(yhat, 0.0)
+                return yhat[:, None] if p == 4.0 else yhat
+            return predict
+
+        rng = np.random.default_rng(13)
+        for n_test in range(1, 201):
+            n = 2 * n_test
+            X, Fs, y = rng.normal(size=(n, 2)), rng.normal(size=(n, 1)), rng.normal(size=n)
+            res = grid_search_cv(fitter, grid, X, Fs, y, k=2, seed=n_test)
+            best, table = per_point_grid_search_cv(fitter, grid, X, Fs, y, 2, n_test)
+            assert res.table == table
+            assert res.best_params == best
+            assert [mean == math.inf for _, mean, _ in table] == [
+                False, False, True, True, False, False]

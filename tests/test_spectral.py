@@ -4,11 +4,42 @@ import pytest
 from affinetl.kernels import KernelSpec, gram
 from affinetl.spectral import (
     OverlapExperimentConfig,
-    _overlap_samples,
+    _overlap_coordinates,
     decay_rate,
     eigvals_desc,
     run_overlap_experiment,
 )
+
+
+def ambient_overlap_samples(rng, cfg):
+    """The overlap samples built in the ambient space (test oracle).
+
+    Draws a random orthonormal frame Q, places x's coefficients on its first
+    n_bases columns and fs's on d of those (reusing x's coefficients) plus
+    n_bases - d columns of the complement.  Returns X, Fs and the draws
+    (Q, coeff_x, coeff_fs, shared, extra).
+    """
+    k, d = cfg.n_bases, cfg.d
+    Q, _ = np.linalg.qr(rng.standard_normal((cfg.ambient_dim, cfg.ambient_dim)))
+    coeff_x = rng.standard_normal((cfg.n_samples, k))
+    coeff_fs = rng.standard_normal((cfg.n_samples, k))
+    shared = rng.choice(k, size=d, replace=False).astype(int)
+    extra = k + rng.choice(cfg.ambient_dim - k, size=k - d, replace=False).astype(int)
+    X = coeff_x @ Q[:, :k].T
+    Fs = coeff_x[:, shared] @ Q[:, shared].T + coeff_fs[:, : k - d] @ Q[:, extra].T
+    return X, Fs, (Q, coeff_x, coeff_fs, shared, extra)
+
+
+def ambient_rows(cfg):
+    """``run_overlap_experiment`` computed from the ambient samples."""
+    rows = []
+    n = cfg.n_samples
+    for r in range(cfg.repeats):
+        X, Fs, _ = ambient_overlap_samples(np.random.default_rng(cfg.seed + r), cfg)
+        K2 = gram(cfg.spec2, Fs) / n
+        K3 = gram(cfg.spec3, X) / n
+        rows.append((decay_rate(K2).s, decay_rate(K3).s, decay_rate(K2 * K3).s))
+    return rows
 
 
 def charpoly_eigs(A):
@@ -52,6 +83,15 @@ class TestEigvalsDesc:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             eigvals_desc(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_accepts_symmetric_to_rounding(self):
+        K = gram(KernelSpec("rbf", 1.0), np.random.default_rng(3).normal(size=(6, 2)))
+        K[0, 1] += 1e-13
+        assert not np.array_equal(K, K.T)
+        assert np.array_equal(eigvals_desc(K), np.linalg.eigvalsh(K)[::-1].clip(0.0))
+        K[0, 1] += 1e-10
+        with pytest.raises(ValueError, match="symmetric"):
+            eigvals_desc(K)
 
     def test_clamps_tiny_negatives(self):
         A = np.diag([1.0, -5e-9])
@@ -122,12 +162,46 @@ class TestOverlapExperiment:
         with pytest.raises(ValueError):
             OverlapExperimentConfig(d=0, repeats=0)
 
+    @pytest.mark.parametrize("n_bases", [0, -1])
+    def test_rejects_n_bases_below_one(self, n_bases):
+        with pytest.raises(ValueError, match="n_bases"):
+            OverlapExperimentConfig(d=0, n_bases=n_bases)
+
     def test_full_overlap_reproduces_x_exactly(self):
         cfg = OverlapExperimentConfig(d=10, ambient_dim=30, n_bases=10,
                                       n_samples=12, repeats=1, seed=5)
-        rng = np.random.default_rng(5)
-        X, Fs = _overlap_samples(rng, cfg)
+        X, Fs, _ = ambient_overlap_samples(np.random.default_rng(5), cfg)
         assert np.max(np.abs(X - Fs)) <= 1e-12
+        spec = KernelSpec("rbf", np.sqrt(10.0))
+        X, Fs = _overlap_coordinates(np.random.default_rng(5), cfg)
+        assert np.max(np.abs(gram(spec, X) - gram(spec, Fs))) <= 1e-12
+
+    @pytest.mark.parametrize("ambient_dim", [12, 100])
+    @pytest.mark.parametrize("d", [0, 3, 6])
+    def test_coordinates_are_the_oracle_draws(self, d, ambient_dim):
+        cfg = OverlapExperimentConfig(d=d, ambient_dim=ambient_dim, n_bases=6,
+                                      n_samples=9, repeats=1)
+        for seed in range(3):
+            X, Fs = _overlap_coordinates(np.random.default_rng(seed), cfg)
+            _, _, (_, coeff_x, coeff_fs, shared, _) = ambient_overlap_samples(
+                np.random.default_rng(seed), cfg)
+            assert np.array_equal(X, coeff_x)
+            assert np.array_equal(Fs, np.hstack([coeff_x[:, shared], coeff_fs[:, :6 - d]]))
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("rbf", np.sqrt(10.0)),
+        KernelSpec("linear", np.sqrt(10.0)),
+        KernelSpec("matern", np.sqrt(10.0), nu=1.5),
+    ], ids=["rbf", "linear", "matern32"])
+    @pytest.mark.parametrize("ambient_dim", [20, 100])
+    @pytest.mark.parametrize("d", [0, 5, 10])
+    def test_rates_match_ambient_oracle(self, spec, ambient_dim, d):
+        cfg = OverlapExperimentConfig(d=d, ambient_dim=ambient_dim, n_bases=10,
+                                      n_samples=40, repeats=3, spec2=spec, spec3=spec,
+                                      seed=12)
+        got = [(row.s2, row.s3, row.s_hadamard) for row in run_overlap_experiment(cfg)]
+        want = ambient_rows(cfg)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_full_overlap_same_kernel_gives_equal_rates(self):
         spec = KernelSpec("rbf", np.sqrt(10.0))
@@ -176,7 +250,7 @@ class TestOverlapExperiment:
                                       spec2=spec, spec3=spec, seed=11)
         row = run_overlap_experiment(cfg)[0]
         rng = np.random.default_rng(11)
-        X, Fs = _overlap_samples(rng, cfg)
+        X, Fs = _overlap_coordinates(rng, cfg)
         K2 = gram(spec, Fs) / 10
         K3 = gram(spec, X) / 10
         assert row.s_hadamard == decay_rate(K2 * K3).s
