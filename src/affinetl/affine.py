@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelSpec, gram
-from .solvers import ridge_solve, solve_spd
+from .solvers import factor_spd, solve_factored, solve_spd
 
 __all__ = [
     "FitConfig",
@@ -125,16 +125,31 @@ def _check_vectors(K1, K2, K3, y, a, b, c):
             raise ValueError(f"{name} must be {n}x{n}, got {K.shape}")
 
 
+def _check_finite(**arrays) -> None:
+    """Raise a ValueError naming the first array that holds a NaN or an
+    infinity, and the first row where it does."""
+    for name, arr in arrays.items():
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            row = np.flatnonzero(bad.reshape(arr.shape[0], -1).any(axis=1))[0]
+            raise ValueError(f"non-finite value in {name} at row {row}")
+
+
+def _combine(K1a, K2b, K3c, d, variant: str) -> np.ndarray:
+    """K1 a + w o (K3 c) + d from the products; K2b is None when g2 is 1."""
+    if K2b is None:
+        w = 1.0
+    else:
+        w = K2b
+        if _unit_offset(variant):
+            w = w + 1.0
+    return K1a + w * K3c + d
+
+
 def _fitted_values(a, b, c, d, K1, K2, K3, variant: str) -> np.ndarray:
     """Predictions from Grams (or cross-Grams against the training rows);
     K2 is None for the constrained variant, whose g2 is 1."""
-    if K2 is None:
-        w = 1.0
-    else:
-        w = K2 @ b
-        if _unit_offset(variant):
-            w = w + 1.0
-    return K1 @ a + w * (K3 @ c) + d
+    return _combine(K1 @ a, None if K2 is None else K2 @ b, K3 @ c, d, variant)
 
 
 def _grams(specs, variant: str, X, Fs, X2=None, Fs2=None):
@@ -147,16 +162,17 @@ def _grams(specs, variant: str, X, Fs, X2=None, Fs2=None):
     return K1, K2, gram(spec3, X, X2)
 
 
-def _objective(a, b, c, d, K1, K2, K3, y, config: FitConfig) -> float:
-    r = y - _fitted_values(a, b, c, d, K1, K2, K3, config.variant)
+def _objective(a, b, c, d, K1a, K2b, K3c, y, config: FitConfig) -> float:
+    """The objective given the products K1 a, K2 b and K3 c."""
+    r = y - _combine(K1a, K2b, K3c, d, config.variant)
     loss = float(r @ r)
     if config.scale_convention == "eqn3":
         loss /= y.shape[0]
     return (
         loss
-        + config.lambda1 * float(a @ (K1 @ a))
-        + config.lambda2 * float(b @ (K2 @ b))
-        + config.lambda3 * float(c @ (K3 @ c))
+        + config.lambda1 * float(a @ K1a)
+        + config.lambda2 * float(b @ K2b)
+        + config.lambda3 * float(c @ K3c)
     )
 
 
@@ -178,36 +194,54 @@ def objective(a, b, c, d: float, K1, K2, K3, y, config: FitConfig) -> float:
     a, b, c, K1, K2, K3, y = _as_arrays(a, b, c, K1, K2, K3, y)
     if config.variant == "full" and d != 0.0:
         raise ValueError("variant 'full' has no intercept; d must be 0")
-    return _objective(a, b, c, d, K1, K2, K3, y, config)
+    return _objective(a, b, c, d, K1 @ a, K2 @ b, K3 @ c, y, config)
 
 
-def _scaled_ridge(K, weights, target, shrink):
+def _offset(variant: str) -> float:
+    """The constant added to K2 b in g2: 1 with an intercept, 0 for ``full``."""
+    return 1.0 if _unit_offset(variant) else 0.0
+
+
+def _shrink_eye(config: FitConfig, lam: float, n: int) -> np.ndarray:
+    return config.shrink(lam, n) * np.eye(n)
+
+
+def _a_factor(K1, config: FitConfig):
+    """Factor of K1 + s1 I, the a-step's system: it does not change between
+    sweeps, so a fit factors it once."""
+    return factor_spd(K1 + _shrink_eye(config, config.lambda1, K1.shape[0]))
+
+
+def _scaled_ridge(K, shrink_eye, weights, target):
     """Exact minimizer x of the block problem whose normal equations read
     (diag(weights)^2 K + shrink I) x = diag(weights) target.
 
     Solved as weights o (diag(w) K diag(w) + shrink I)^{-1} target, which is
     the same vector but keeps the factored matrix symmetric PSD.
     """
-    Kw = K * np.outer(weights, weights)
-    return weights * ridge_solve(Kw, target, shrink)
+    return weights * solve_spd(K * np.multiply.outer(weights, weights) + shrink_eye, target)
 
 
-def _update_block(which, a, b, c, d, K1, K2, K3, y, config: FitConfig):
-    n = y.shape[0]
-    offset = 1.0 if _unit_offset(config.variant) else 0.0
-    if which == "a":
-        w = K2 @ b + offset
-        return ridge_solve(K1, y - w * (K3 @ c) - d, config.shrink(config.lambda1, n))
-    if which == "b":
-        u = K3 @ c
-        target = y - K1 @ a - offset * u - d
-        return _scaled_ridge(K2, u, target, config.shrink(config.lambda2, n))
-    if which == "c":
-        w = K2 @ b + offset
-        target = y - K1 @ a - d
-        return _scaled_ridge(K3, w, target, config.shrink(config.lambda3, n))
-    w = K2 @ b + offset  # which == "d"
-    return float(np.mean(y - K1 @ a - w * (K3 @ c)))
+# Block kernels: the exact minimizer of one block given the products K1 a,
+# K2 b, K3 c of the current state, the a-step's factor and the b- and
+# c-steps' shrink * I.  ``fit`` forms all of these once per fit (the
+# products once per block update); ``update_block`` forms them per call.
+
+def _a_step(a_factor, y, d, K2b, K3c, offset):
+    return solve_factored(a_factor, y - (K2b + offset) * K3c - d)
+
+
+def _b_step(K2, shrink_eye, y, d, K1a, K3c, offset):
+    return _scaled_ridge(K2, shrink_eye, K3c, y - K1a - offset * K3c - d)
+
+
+def _c_step(K3, shrink_eye, y, d, K1a, K2b, offset):
+    return _scaled_ridge(K3, shrink_eye, K2b + offset, y - K1a - d)
+
+
+def _d_step(y, K1a, K2b, K3c, offset):
+    r = y - K1a - (K2b + offset) * K3c
+    return float(r.sum()) / r.shape[0]  # np.mean's value, without its dispatch
 
 
 def update_block(which: str, state, K1, K2, K3, y, config: FitConfig):
@@ -224,7 +258,16 @@ def update_block(which: str, state, K1, K2, K3, y, config: FitConfig):
         raise ValueError(f"unknown block {which!r}")
     if which == "d" and config.variant == "full":
         raise ValueError("variant 'full' has no intercept block")
-    return _update_block(which, a, b, c, d, K1, K2, K3, y, config)
+    n = y.shape[0]
+    offset = _offset(config.variant)
+    K1a, K2b, K3c = K1 @ a, K2 @ b, K3 @ c
+    if which == "a":
+        return _a_step(_a_factor(K1, config), y, d, K2b, K3c, offset)
+    if which == "b":
+        return _b_step(K2, _shrink_eye(config, config.lambda2, n), y, d, K1a, K3c, offset)
+    if which == "c":
+        return _c_step(K3, _shrink_eye(config, config.lambda3, n), y, d, K1a, K2b, offset)
+    return _d_step(y, K1a, K2b, K3c, offset)
 
 
 def fit_constrained(K1, K3, y, lambda1: float, lambda3: float):
@@ -254,9 +297,11 @@ def fit_constrained(K1, K3, y, lambda1: float, lambda3: float):
     return r / lambda1, r / lambda3, d
 
 
-def _update_ratio(new: np.ndarray, old: np.ndarray) -> float:
-    num = float(np.max(np.abs(new - old)))
-    den = float(np.max(np.abs(old)))
+def _update_ratio(new, old) -> float:
+    """max|new - old| / max|old|, or the absolute change when old is
+    essentially zero; blocks may be arrays or Python floats."""
+    num = float(np.abs(new - old).max())
+    den = float(np.abs(old).max())
     return num if den < _RATIO_GUARD else num / den
 
 
@@ -307,6 +352,7 @@ def fit(config: FitConfig, X, Fs, y, specs) -> tuple[AffineTLModel, FitTrace]:
         raise ValueError("need at least two training rows")
     if X.shape[0] != n or Fs.shape[0] != n:
         raise ValueError("X, Fs, y must have the same number of rows")
+    _check_finite(X=X, Fs=Fs, y=y)
     specs = tuple(specs)
     (a, b, c, d), trace = _fit_grams(config, *_grams(specs, config.variant, X, Fs), y)
     return AffineTLModel(a, b, c, d, X, Fs, specs, config.variant), trace
@@ -322,31 +368,43 @@ def _fit_grams(config: FitConfig, K1, K2, K3, y):
         )
         b = np.zeros(n)
         # b = 0, so K2 enters neither the fit nor the objective.
-        obj = _objective(a, b, c, d, K1, np.zeros((n, n)), K3, y, config)
+        obj = _objective(a, b, c, d, K1 @ a, np.zeros(n), K3 @ c, y, config)
         return (a, b, c, d), FitTrace([obj], iterations=0, converged=True,
                                       final_update_ratio=0.0)
 
     rng = np.random.default_rng(config.seed)
-    a = ridge_solve(K1, y, config.shrink(config.lambda1, n))
+    a_factor = _a_factor(K1, config)
+    a = solve_factored(a_factor, y)
     b = rng.standard_normal(n)
     c = rng.standard_normal(n)
     d = 0.5 if config.variant == "full_with_intercept" else 0.0
 
-    # The inputs are validated by ``fit``, so the sweep calls the block
-    # kernels directly rather than the validating update_block/objective.
-    def sweep(state):
-        a, b, c, d = state
-        a = _update_block("a", a, b, c, d, K1, K2, K3, y, config)
-        b = _update_block("b", a, b, c, d, K1, K2, K3, y, config)
-        c = _update_block("c", a, b, c, d, K1, K2, K3, y, config)
-        if config.variant == "full_with_intercept":
-            d = _update_block("d", a, b, c, d, K1, K2, K3, y, config)
-        return a, b, c, d
+    # The state carries K1 a, K2 b and K3 c after (a, b, c, d): each product
+    # is formed once, right after its block's update, and the later blocks,
+    # the d-step and the objective reuse it.  The inputs are validated by
+    # ``fit``, so the sweep calls the block kernels directly rather than the
+    # validating update_block/objective.
+    offset = _offset(config.variant)
+    S2 = _shrink_eye(config, config.lambda2, n)
+    S3 = _shrink_eye(config, config.lambda3, n)
 
-    return alternate(
-        sweep, lambda s: _objective(*s, K1, K2, K3, y, config), (a, b, c, d),
+    def sweep(state):
+        a, b, c, d, K1a, K2b, K3c = state
+        a = _a_step(a_factor, y, d, K2b, K3c, offset)
+        K1a = K1 @ a
+        b = _b_step(K2, S2, y, d, K1a, K3c, offset)
+        K2b = K2 @ b
+        c = _c_step(K3, S3, y, d, K1a, K2b, offset)
+        K3c = K3 @ c
+        if config.variant == "full_with_intercept":
+            d = _d_step(y, K1a, K2b, K3c, offset)
+        return a, b, c, d, K1a, K2b, K3c
+
+    state, trace = alternate(
+        sweep, lambda s: _objective(*s, y, config), (a, b, c, d, K1 @ a, K2 @ b, K3 @ c),
         config.tol, config.max_iter, watched=3,
     )
+    return state[:4], trace
 
 
 def predict(model: AffineTLModel, Xnew, FsNew) -> np.ndarray:

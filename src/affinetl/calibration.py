@@ -29,9 +29,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .affine import FitTrace, alternate
+from .affine import FitTrace, _check_finite, alternate
 from .model_selection import CALIBRATION_GRID, child_seed, grid_search_cv, rmse
-from .solvers import penalized_ls, solve_spd
+from .solvers import factor_spd, penalized_ls, solve_factored, solve_spd
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -181,17 +181,21 @@ def calibration_objective(
     gamma = np.asarray(gamma, dtype=float).ravel()
     lam = build_fused_penalty(layout, l1, l2)
     return _calibration_objective_given(
-        np.array([alpha0, alpha1]), beta, gamma, X, fs, y, l_beta, lam
+        np.array([alpha0, alpha1]), beta, gamma, X @ gamma, fs, y, l_beta, lam
     )
 
 
-def _calibration_objective_given(alpha, beta, gamma, X, fs, y, l_beta, lam) -> float:
-    r = y - (alpha[0] + alpha[1] * fs - (beta * fs + 1.0) * (X @ gamma))
+# Block kernels and the objective take the product X gamma (``Xg``) of the
+# current gamma: a fit forms it once per sweep, right after the gamma-step.
+
+def _calibration_objective_given(alpha, beta, gamma, Xg, fs, y, l_beta, lam) -> float:
+    r = y - (alpha[0] + alpha[1] * fs - (beta * fs + 1.0) * Xg)
     return float(r @ r) / y.shape[0] + l_beta * beta**2 + float(gamma @ (lam @ gamma))
 
 
-def _argmin_alpha(F, FtF, fs, y, beta, Xg) -> np.ndarray:
-    return solve_spd(FtF, F.T @ (y + (beta * fs + 1.0) * Xg))
+def _argmin_alpha(F, FtF_factor, fs, y, beta, Xg) -> np.ndarray:
+    """Exact alpha-step; ``FtF_factor`` is ``factor_spd(F'F)``."""
+    return solve_factored(FtF_factor, F.T @ (y + (beta * fs + 1.0) * Xg))
 
 
 def _argmin_beta(F, fs, y, alpha, Xg, l_beta) -> float:
@@ -199,24 +203,25 @@ def _argmin_beta(F, fs, y, alpha, Xg, l_beta) -> float:
     return -float(v @ (y - F @ alpha + Xg)) / (float(v @ v) + y.shape[0] * l_beta)
 
 
-def _dual_gamma_basis(X, layout, l1, l2) -> tuple[np.ndarray, np.ndarray]:
-    """G0 = X Lambda^{-1} X' and Lambda^{-1} X' for Lambda = l1 I + l2 T, from
-    one eigendecomposition of the path Laplacian T."""
+def _dual_gamma_basis(X, layout, l1, l2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G0 = X Lambda^{-1} X', Lambda^{-1} X' for Lambda = l1 I + l2 T, from
+    one eigendecomposition of the path Laplacian T, and n I: the parts of
+    the dual gamma-step that stay fixed across a fit."""
     if not l1 > 0:
         raise ValueError(f"l1 must be positive for the dual gamma solve, got {l1}")
     mu, V = _laplacian_eigenbasis(layout)
     XV = X @ V
     XVd = XV / (l1 + l2 * mu)
-    return XVd @ XV.T, V @ XVd.T
+    n = X.shape[0]
+    return XVd @ XV.T, V @ XVd.T, n * np.eye(n)
 
 
-def _argmin_gamma(G0, lam_inv_xt, F, fs, y, alpha, beta) -> np.ndarray:
+def _argmin_gamma(G0, lam_inv_xt, n_eye, F, fs, y, alpha, beta) -> np.ndarray:
     """Exact gamma-step in the dual: with w = beta fs + 1 and t = y - F alpha,
     (w w' o G0 + n I) theta = t and gamma = -Lambda^{-1} X' (w o theta),
     which minimizes (1/n) ||t + w o (X gamma)||^2 + gamma' Lambda gamma."""
     w = beta * fs + 1.0
-    n = y.shape[0]
-    theta = solve_spd(np.outer(w, w) * G0 + n * np.eye(n), y - F @ alpha)
+    theta = solve_spd(np.multiply.outer(w, w) * G0 + n_eye, y - F @ alpha)
     return -(lam_inv_xt @ (w * theta))
 
 
@@ -234,7 +239,7 @@ def update_calibration_block(which, state, X, fs, y, l_beta, l1, l2, layout):
     F = np.column_stack([np.ones_like(fs), fs])
     Xg = X @ gamma
     if which == "alpha":
-        return _argmin_alpha(F, F.T @ F, fs, y, beta, Xg)
+        return _argmin_alpha(F, factor_spd(F.T @ F), fs, y, beta, Xg)
     if which == "beta":
         return _argmin_beta(F, fs, y, alpha, Xg, l_beta)
     if which == "gamma":
@@ -262,7 +267,9 @@ def fit_calibration(
     nonincreasing; :func:`affinetl.affine.alternate` stops on the largest
     relative change over {alpha, beta, gamma}.  The gamma-step is an n x n
     dual solve on G0 = X Lambda^{-1} X', formed once per fit, which needs
-    ``l1 > 0``.
+    ``l1 > 0``.  The alpha-step's 2 x 2 system F'F is factored once per fit,
+    and X gamma is formed once per sweep and shared by the objective and the
+    next sweep's alpha- and beta-steps.
     """
     if layout is None:
         layout = default_layout()
@@ -270,27 +277,28 @@ def fit_calibration(
     n = y.shape[0]
     if n < 3:
         raise ValueError("need at least three rows")
-    G0, lam_inv_xt = _dual_gamma_basis(X, layout, l1, l2)
+    _check_finite(X=X, fs=fs, y=y)
+    G0, lam_inv_xt, n_eye = _dual_gamma_basis(X, layout, l1, l2)
 
     alpha = np.array(fit_olr(fs, y))
     beta = 0.0
     gamma = -fit_log_difference(X, fs, y, l1, l2, layout)
 
     F = np.column_stack([np.ones_like(fs), fs])
-    FtF = F.T @ F
+    FtF_factor = factor_spd(F.T @ F)
     lam = build_fused_penalty(layout, l1, l2)
 
+    # The state carries X gamma after (alpha, beta, gamma).
     def sweep(state):
-        alpha, beta, gamma = state
-        Xg = X @ gamma
-        alpha = _argmin_alpha(F, FtF, fs, y, beta, Xg)
+        alpha, beta, gamma, Xg = state
+        alpha = _argmin_alpha(F, FtF_factor, fs, y, beta, Xg)
         beta = _argmin_beta(F, fs, y, alpha, Xg, l_beta)
-        gamma = _argmin_gamma(G0, lam_inv_xt, F, fs, y, alpha, beta)
-        return alpha, beta, gamma
+        gamma = _argmin_gamma(G0, lam_inv_xt, n_eye, F, fs, y, alpha, beta)
+        return alpha, beta, gamma, X @ gamma
 
-    (alpha, beta, gamma), trace = alternate(
-        sweep, lambda s: _calibration_objective_given(*s, X, fs, y, l_beta, lam),
-        (alpha, beta, gamma), tol, max_iter, watched=3,
+    (alpha, beta, gamma, _), trace = alternate(
+        sweep, lambda s: _calibration_objective_given(*s, fs, y, l_beta, lam),
+        (alpha, beta, gamma, X @ gamma), tol, max_iter, watched=3,
     )
     model = CalibrationModel(float(alpha[0]), float(alpha[1]), beta, gamma, layout)
     return model, trace

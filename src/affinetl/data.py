@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .affine import _check_finite
 from .calibration import BlockLayout, default_layout
 
 __all__ = [
@@ -47,10 +48,7 @@ class Dataset:
             raise ValueError(
                 f"row mismatch: X {self.X.shape[0]}, Fs {self.Fs.shape[0]}, y {n}"
             )
-        for name, arr in (("X", self.X), ("Fs", self.Fs), ("y", self.y)):
-            bad = np.flatnonzero(~np.isfinite(arr).all(axis=-1) if arr.ndim > 1 else ~np.isfinite(arr))
-            if bad.size:
-                raise ValueError(f"non-finite value in {name} at row {bad[0]}")
+        _check_finite(X=self.X, Fs=self.Fs, y=self.y)
         if not self.x_names:
             self.x_names = [f"x{i}" for i in range(self.X.shape[1])]
         if not self.fs_names:

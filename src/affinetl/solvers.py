@@ -7,7 +7,10 @@ exactly singular).  The factor and solve call LAPACK's ``dpotrf``/``dpotrs``
 directly: most systems are small (an affine fit solves three n x n systems
 per sweep), and on them the argument handling of
 ``scipy.linalg.cho_factor``/``cho_solve`` costs about twice the
-factorization itself, for bit-identical results.
+factorization itself, for bit-identical results.  The factor step
+(:func:`factor_spd`) and the solve step (:func:`solve_factored`) are also
+separate, so a system that stays fixed across the sweeps of a fit is
+factored once; :func:`solve_spd` composes the two.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-__all__ = ["SingularSystemError", "solve_spd", "ridge_solve", "penalized_ls"]
+__all__ = [
+    "SingularSystemError",
+    "factor_spd",
+    "solve_factored",
+    "solve_spd",
+    "ridge_solve",
+    "penalized_ls",
+]
 
 _JITTER_ESCALATIONS = 3
 
@@ -31,43 +41,60 @@ def _sym(A) -> np.ndarray:
     return A
 
 
-def solve_spd(A, b, info: dict | None = None) -> np.ndarray:
-    """Solve A x = b for symmetric PSD A via Cholesky.
+def factor_spd(A, info: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor of symmetric PSD A, for :func:`solve_factored`.
 
     On factorization failure, retries with diagonal jitter 1e-10 * trace/n,
     escalating x10 at most three times; the jitter actually applied is
-    recorded under ``info["jitter"]`` when a dict is passed.  One step of
-    iterative refinement keeps the residual near machine precision.
+    recorded under ``info["jitter"]`` when a dict is passed.  Returns the
+    lower factor and the matrix it factors (A plus the jitter), which the
+    solve's refinement step multiplies by.
     """
     A = _sym(A)
-    b = np.asarray(b, dtype=float)
     n = A.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"shape mismatch: matrix {A.shape}, rhs {b.shape}")
-
-    if n == 0:
-        return np.zeros(b.shape)
-
-    base = 1e-10 * np.trace(A) / n
-    jitter = 0.0
+    jitter = base = 0.0
     for attempt in range(_JITTER_ESCALATIONS + 1):
         M = A if jitter == 0.0 else A + jitter * np.eye(n)
         factor, status = dpotrf(M, lower=1, clean=0)
         if status < 0:
             raise ValueError(f"LAPACK dpotrf rejected argument {-status}")
         if status > 0:  # the leading minor of order `status` is not positive definite
+            if attempt == 0:
+                base = 1e-10 * np.trace(A) / n
             jitter = base * 10.0**attempt
             if jitter <= 0.0:
                 break
             continue
-        x = dpotrs(factor, b, lower=1)[0]
-        x += dpotrs(factor, b - M @ x, lower=1)[0]
         if info is not None:
             info["jitter"] = jitter
-        return x
+        return factor, M
     raise SingularSystemError(
         f"system is singular beyond jitter tolerance (applied jitter up to {jitter:g})"
     )
+
+
+def solve_factored(factored: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve M x = b for ``factored = factor_spd(A)`` (M = A plus its jitter);
+    one step of iterative refinement keeps the residual near machine
+    precision.  ``b`` is a float array with M's number of rows."""
+    factor, M = factored
+    x = dpotrs(factor, b, lower=1)[0]
+    x += dpotrs(factor, b - M @ x, lower=1)[0]
+    return x
+
+
+def solve_spd(A, b, info: dict | None = None) -> np.ndarray:
+    """Solve A x = b for symmetric PSD A via Cholesky: :func:`factor_spd`
+    (with its jitter retry, recorded in ``info``), then :func:`solve_factored`.
+    """
+    A = _sym(A)
+    b = np.asarray(b, dtype=float)
+    n = A.shape[0]
+    if b.shape[0] != n:
+        raise ValueError(f"shape mismatch: matrix {A.shape}, rhs {b.shape}")
+    if n == 0:
+        return np.zeros(b.shape)
+    return solve_factored(factor_spd(A, info), b)
 
 
 def ridge_solve(K, y, shrink: float, info: dict | None = None) -> np.ndarray:

@@ -15,6 +15,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def numeric_quadratic_argmin(f, dim: int, h: float = 0.25) -> np.ndarray:
@@ -44,3 +45,20 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         xm[i] -= h
         g[i] = (f(xp) - f(xm)) / (2 * h)
     return g
+
+
+@pytest.fixture
+def factor_sizes(monkeypatch):
+    """Orders of the matrices the package hands to LAPACK's Cholesky
+    factorization, in call order (a jitter retry counts as another one)."""
+    from affinetl import solvers
+
+    sizes = []
+    original = solvers.dpotrf
+
+    def recording(A, *args, **kwargs):
+        sizes.append(np.shape(A)[0])
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "dpotrf", recording)
+    return sizes

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from affinetl.affine import (
+    _RATIO_GUARD,
     AffineTLModel,
     FitConfig,
     _update_ratio,
@@ -337,6 +338,16 @@ class TestFit:
             fit(FitConfig(0.1, 0.1, 0.1), np.ones((4, 2)), np.ones((3, 2)),
                 np.ones(4), SPECS)
 
+    @pytest.mark.parametrize("name,value,row", [
+        ("y", np.nan, 3), ("X", np.inf, 5), ("Fs", -np.inf, 0)])
+    def test_non_finite_input_rejected_with_row(self, name, value, row):
+        rng = np.random.default_rng(26)
+        X, Fs, y, *_ = make_problem(rng, 8)
+        arrays = {"X": X, "Fs": Fs, "y": y}
+        arrays[name][row] = value
+        with pytest.raises(ValueError, match=f"non-finite value in {name} at row {row}"):
+            fit(FitConfig(0.1, 0.1, 0.1, max_iter=200), X, Fs, y, SPECS)
+
     def test_converged_fit_has_stationary_blocks(self):
         rng = np.random.default_rng(19)
         X, Fs, y, K1, K2, K3 = make_problem(rng, 10)
@@ -401,12 +412,49 @@ class TestFitMatchesPublicBlockSweep:
                 np.float64(want.final_update_ratio).tobytes()
 
 
+class TestFitFactorizationCount:
+    @pytest.mark.parametrize("variant", ["full", "full_with_intercept"])
+    @pytest.mark.parametrize("max_iter", [1, 6, 1000])
+    def test_one_fixed_factor_and_two_per_sweep(self, variant, max_iter, factor_sizes):
+        # K1 + s1 I is factored once per fit (it also gives the initial a);
+        # the b- and c-steps factor one system each per sweep
+        rng = np.random.default_rng(25)
+        X, Fs, y, *_ = make_problem(rng, 12)
+        cfg = FitConfig(0.1, 0.2, 0.1, variant=variant, max_iter=max_iter, seed=4)
+        _, trace = fit(cfg, X, Fs, y, SPECS)
+        assert trace.iterations == max_iter or trace.converged
+        assert factor_sizes == [12] * (1 + 2 * trace.iterations)
+
+
+def np_max_update_ratio(new, old):
+    """The stopping ratio written with ``np.max`` (test oracle)."""
+    num = float(np.max(np.abs(new - old)))
+    den = float(np.max(np.abs(old)))
+    return num if den < _RATIO_GUARD else num / den
+
+
 class TestUpdateRatio:
     def test_relative_when_old_nonzero(self):
         assert _update_ratio(np.array([2.0]), np.array([1.0])) == 1.0
 
     def test_absolute_when_old_near_zero(self):
         assert _update_ratio(np.array([3e-4]), np.array([1e-14])) == pytest.approx(3e-4)
+
+    @pytest.mark.parametrize("new,old", [
+        (np.array([1.5, -2.0, 3.25]), np.array([1.0, -2.5, 3.0])),
+        (np.array(2.5), np.array(-1.0)),
+        (0.75, -0.25),
+        (np.float64(0.1), 0.3),
+        (np.array([3e-4, -1e-4]), np.array([1e-14, -5e-13])),
+        (1e-3, 1e-13),
+        (np.array([1.0, np.nan]), np.array([1.0, 2.0])),
+        (np.array([1.0, 2.0]), np.array([np.nan, 2.0])),
+    ], ids=["array", "0-d", "floats", "scalar-float", "array-old-below-guard",
+            "float-old-below-guard", "nan-new", "nan-old"])
+    def test_bit_equal_to_np_max_form(self, new, old):
+        got = _update_ratio(new, old)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(np_max_update_ratio(new, old)).tobytes()
 
 
 class TestAlternate:

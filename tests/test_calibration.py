@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from affinetl import calibration
+from affinetl.affine import alternate
 from affinetl.calibration import (
     BlockLayout,
     CalibrationModel,
@@ -258,23 +259,16 @@ class TestDualGammaStep:
         want = primal_gamma_step(X, fs, y, (0.2, 0.9), 0.05, 0.2, 1.5, SMALL)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
-    def test_fit_uses_the_dual_step(self, monkeypatch):
-        # every gamma-step of a fit is one n x n solve, not a p x p one
+    def test_fit_uses_the_dual_step(self, factor_sizes):
+        # every gamma-step of a fit factors one n x n system, not a p x p one
         rng = np.random.default_rng(18)
         X, fs, y, _ = make_calibration_data(rng, n=5, gamma_scale=0.4, noise=0.1)
-        sizes = []
-        original = calibration.solve_spd
-
-        def recording(A, b, info=None):
-            sizes.append(np.shape(A)[0])
-            return original(A, b, info=info)
-
-        monkeypatch.setattr(calibration, "solve_spd", recording)
         _, trace = fit_calibration(X, fs, y, l1=0.2, l2=0.8, layout=SMALL, max_iter=7)
-        # fit_olr's 2 x 2 solve, then per sweep the alpha (2 x 2) and the
-        # dual gamma (n x n) solve; the residual-ridge initializer solves
-        # through penalized_ls, which this does not record
-        assert sizes == [2] + [2, 5] * trace.iterations
+        assert trace.iterations == 7
+        # set-up: fit_olr's 2 x 2, the residual-ridge initializer's p x p
+        # (p = 6) and the alpha-step's 2 x 2 F'F, factored once per fit;
+        # then one n x n dual system per sweep
+        assert factor_sizes == [2, 6, 2] + [5] * trace.iterations
 
     @pytest.mark.parametrize("l1", [0.0, -0.1])
     def test_nonpositive_l1_rejected(self, l1):
@@ -375,6 +369,62 @@ class TestFitCalibration:
         with pytest.raises(ValueError):
             fit_calibration(rng.normal(size=(10, 5)), rng.normal(size=10),
                             rng.normal(size=10), 0.1, 0.1, layout=SMALL)
+
+    @pytest.mark.parametrize("name,value,row", [
+        ("y", np.nan, 3), ("X", np.inf, 7), ("fs", np.nan, 0)])
+    def test_non_finite_input_rejected_with_row(self, name, value, row):
+        rng = np.random.default_rng(14)
+        X, fs, y, _ = make_calibration_data(rng, n=12, gamma_scale=0.3, noise=0.1)
+        arrays = {"X": X, "fs": fs, "y": y}
+        arrays[name][row] = value
+        with pytest.raises(ValueError, match=f"non-finite value in {name} at row {row}"):
+            fit_calibration(X, fs, y, 0.1, 0.1, layout=SMALL)
+
+
+def composed_calibration_fit(X, fs, y, l1, l2, l_beta, layout, tol, max_iter):
+    """The cyclic fit written out from the public, validating block updates
+    and objective under ``alternate``: the initializer of
+    :func:`fit_calibration`, then sweeps over alpha, beta and gamma."""
+    alpha = np.array(fit_olr(fs, y))
+    gamma = -fit_log_difference(X, fs, y, l1, l2, layout)
+
+    def sweep(state):
+        alpha, beta, gamma = state
+        alpha = update_calibration_block("alpha", (*alpha, beta, gamma), X, fs, y,
+                                         l_beta, l1, l2, layout)
+        beta = update_calibration_block("beta", (*alpha, beta, gamma), X, fs, y,
+                                        l_beta, l1, l2, layout)
+        gamma = update_calibration_block("gamma", (*alpha, beta, gamma), X, fs, y,
+                                         l_beta, l1, l2, layout)
+        return alpha, beta, gamma
+
+    def objective_of(state):
+        alpha, beta, gamma = state
+        return calibration_objective(*alpha, beta, gamma, X, fs, y, l_beta, l1, l2, layout)
+
+    return alternate(sweep, objective_of, (alpha, 0.0, gamma), tol, max_iter, watched=3)
+
+
+class TestFitCalibrationMatchesPublicBlockSweep:
+    LAYOUT = BlockLayout((("b0", 10), ("b1", 14)))  # p = 24 > n = 16: dual gamma-steps
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("l1,l2,max_iter", [(0.05, 0.5, 300), (0.5, 2.0, 300),
+                                                (0.05, 0.5, 6)])
+    def test_bit_identical(self, seed, l1, l2, max_iter):
+        rng = np.random.default_rng(seed)
+        X, fs, y, _ = make_calibration_data(rng, n=16, layout=self.LAYOUT, gamma_scale=0.3,
+                                            beta=-0.2, noise=0.1)
+        model, trace = fit_calibration(X, fs, y, l1, l2, l_beta=0.5, layout=self.LAYOUT,
+                                       max_iter=max_iter)
+        (alpha, beta, gamma), want = composed_calibration_fit(
+            X, fs, y, l1, l2, 0.5, self.LAYOUT, 1e-4, max_iter)
+        assert trace.converged == (max_iter == 300)
+        assert (trace.iterations, trace.converged) == (want.iterations, want.converged)
+        for got_arr, want_arr in (((model.alpha0, model.alpha1), alpha), (model.beta, beta),
+                                  (model.gamma, gamma), (trace.objectives, want.objectives),
+                                  (trace.final_update_ratio, want.final_update_ratio)):
+            assert np.asarray(got_arr).tobytes() == np.asarray(want_arr).tobytes()
 
 
 class TestPredictCalibration:

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from affinetl import solvers
 from affinetl.kernels import KernelSpec, gram
 from affinetl.solvers import (
     SingularSystemError,
+    factor_spd,
     penalized_ls,
     ridge_solve,
+    solve_factored,
     solve_spd,
 )
 
@@ -53,6 +56,35 @@ class TestSolveSPD:
             solve_spd(np.ones((2, 3)), np.ones(2))
         with pytest.raises(ValueError):
             solve_spd(np.eye(2), np.ones(3))
+
+
+class TestFactorThenSolve:
+    def test_one_factor_serves_many_solves_bit_identically(self):
+        rng = np.random.default_rng(32)
+        A = random_spd(rng, 30)
+        factored = factor_spd(A)
+        for k in (0, 0, 3):
+            b = rng.normal(size=(30, k) if k else 30)
+            assert solve_factored(factored, b).tobytes() == solve_spd(A, b).tobytes()
+
+    def test_jittered_factor_refines_against_the_jittered_matrix(self):
+        X = np.array([[0.0, 1.0], [0.5, -1.0], [0.0, 1.0], [2.0, 0.3]])
+        K = gram(KernelSpec("rbf", 1.0), X)
+        y = np.array([1.0, -0.5, 1.0, 0.2])
+        info = {}
+        factored = factor_spd(K, info=info)
+        assert info["jitter"] > 0
+        assert np.array_equal(factored[1], K + info["jitter"] * np.eye(4))
+        assert solve_factored(factored, y).tobytes() == solve_spd(K, y).tobytes()
+
+    def test_trace_only_computed_for_a_retry(self, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("trace computed for a matrix that factors at once")
+
+        monkeypatch.setattr(solvers.np, "trace", no_trace)
+        factor_spd(random_spd(np.random.default_rng(33), 6))
+        with pytest.raises(AssertionError, match="trace computed"):
+            factor_spd(np.diag([1.0, 0.0]))
 
 
 class TestRidgeSolve:
