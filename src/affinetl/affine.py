@@ -219,7 +219,8 @@ def _scaled_ridge(K, shrink_eye, weights, target):
     Solved as weights o (diag(w) K diag(w) + shrink I)^{-1} target, which is
     the same vector but keeps the factored matrix symmetric PSD.
     """
-    return weights * solve_spd(K * np.multiply.outer(weights, weights) + shrink_eye, target)
+    factored = factor_spd(K * np.multiply.outer(weights, weights) + shrink_eye)
+    return weights * solve_factored(factored, target)
 
 
 # Block kernels: the exact minimizer of one block given the products K1 a,
@@ -408,7 +409,9 @@ def _fit_grams(config: FitConfig, K1, K2, K3, y):
 
 
 def predict(model: AffineTLModel, Xnew, FsNew) -> np.ndarray:
-    """Predict at new rows using cross-Gram matrices against the training set."""
+    """Predict at new rows using cross-Gram matrices against the training set.
+    A NaN or an infinity in ``Xnew`` or ``FsNew`` is a ValueError naming the
+    array and the row."""
     Xnew = np.asarray(Xnew, dtype=float)
     FsNew = np.asarray(FsNew, dtype=float)
     if Xnew.ndim == 1:
@@ -417,5 +420,6 @@ def predict(model: AffineTLModel, Xnew, FsNew) -> np.ndarray:
         FsNew = FsNew[:, None]
     if Xnew.shape[0] != FsNew.shape[0]:
         raise ValueError("Xnew and FsNew must have the same number of rows")
+    _check_finite(Xnew=Xnew, FsNew=FsNew)
     grams = _grams(model.specs, model.variant, Xnew, FsNew, model.train_X, model.train_Fs)
     return _fitted_values(model.a, model.b, model.c, model.d, *grams, model.variant)

@@ -27,6 +27,7 @@ from .model_selection import (
     KRR_SHRINK_GRID,
     child_seed,
     grid_search_cv,
+    pointwise,
     rmse,
 )
 from .solvers import ridge_solve
@@ -104,16 +105,22 @@ def length_scales(rule: str, dim_x: int, dim_fs: int) -> dict[str, float]:
 
 
 def _krr_path(spec: KernelSpec, Ztr, Zte, z):
-    """Test predictions of KRR on (Ztr, z) as a function of the shrink.
+    """Test predictions of KRR on (Ztr, z) along the shrink path.
 
-    One eigendecomposition K = V diag(mu) V' of the training Gram turns
-    every shrink into an O(n^2) product, K_te,tr V diag(1 / (mu + s)) V' z
-    (Rifkin & Lippert 2007, "Notes on regularized least squares").
+    One eigendecomposition K = V diag(mu) V' of the training Gram turns the
+    whole path into one product: returns ``path(shrinks)``, a
+    (len(shrinks), n_test) array whose row for shrink s is
+    K_te,tr V diag(1 / (mu + s)) V' z (Rifkin & Lippert 2007, "Notes on
+    regularized least squares").
     """
     mu, V = np.linalg.eigh(gram(spec, Ztr))
     A = gram(spec, Zte, Ztr) @ V
     b = V.T @ z
-    return lambda shrink: A @ (b / (mu + shrink))
+    return lambda shrinks: (b[:, None] / (mu[:, None] + shrinks)).T @ A.T
+
+
+def _shrinks(points) -> np.ndarray:
+    return np.array([params["shrink"] for params in points])
 
 
 def _cv_krr(kind, train: Dataset, folds, seed, spec) -> float:
@@ -122,7 +129,7 @@ def _cv_krr(kind, train: Dataset, folds, seed, spec) -> float:
     def fitter(X, Fs, y, Xt, Ft):
         path = _krr_path(spec, single_stage_inputs(kind, X, Fs),
                          single_stage_inputs(kind, Xt, Ft), y)
-        return lambda params: path(params["shrink"])
+        return lambda points: path(_shrinks(points))
 
     res = grid_search_cv(fitter, KRR_SHRINK_GRID, train.X, train.Fs, train.y,
                          k=folds, seed=seed)
@@ -144,9 +151,9 @@ def _fit_two_stage(kind, train: Dataset, folds, seed, spec_fs, spec_x):
         g1, g1_test = K1 @ coef, gram(spec_fs, Ft, Fs) @ coef
         if kind == "htl_offset":
             path = _krr_path(spec_x, X, Xt, y - g1)
-            return lambda params: g1_test + path(params["shrink"])
+            return lambda points: g1_test + path(_shrinks(points))
         path = _krr_path(spec_x, X, Xt, scale_target(y, g1))
-        return lambda params: g1_test * path(params["shrink"])
+        return lambda points: g1_test * path(_shrinks(points))
 
     res = grid_search_cv(fitter, KRR_SHRINK_GRID, train.X, train.Fs, train.y,
                          k=folds, seed=child_seed(seed, "stage2"))
@@ -177,7 +184,7 @@ def _fit_affine(variant, train: Dataset, folds, seed, specs, config):
             (a, b, c, d), _ = _fit_grams(make_config(params), *grams, y)
             return _fitted_values(a, b, c, d, *cross, variant)
 
-        return predict_point
+        return pointwise(predict_point)
 
     res = grid_search_cv(fitter, grid, train.X, train.Fs, train.y,
                          k=folds, seed=child_seed(seed, "cv"))

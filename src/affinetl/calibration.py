@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .affine import FitTrace, _check_finite, alternate
-from .model_selection import CALIBRATION_GRID, child_seed, grid_search_cv, rmse
+from .model_selection import CALIBRATION_GRID, child_seed, grid_search_cv, pointwise, rmse
 from .solvers import factor_spd, penalized_ls, solve_factored, solve_spd
 
 if TYPE_CHECKING:
@@ -305,13 +305,16 @@ def fit_calibration(
 
 
 def predict_calibration(model: CalibrationModel, X, fs) -> np.ndarray:
-    """alpha0 + alpha1 fs - (beta fs + 1) o (X gamma), elementwise."""
+    """alpha0 + alpha1 fs - (beta fs + 1) o (X gamma), elementwise.  A NaN
+    or an infinity in ``X`` or ``fs`` is a ValueError naming the array and
+    the row."""
     X = np.asarray(X, dtype=float)
     fs = np.asarray(fs, dtype=float).ravel()
     if X.ndim != 2 or X.shape[1] != model.gamma.shape[0]:
         raise ValueError(f"X must have {model.gamma.shape[0]} columns, got {X.shape}")
     if fs.shape[0] != X.shape[0]:
         raise ValueError("X and fs must have the same number of rows")
+    _check_finite(X=X, fs=fs)
     return model.alpha0 + model.alpha1 * fs - (model.beta * fs + 1.0) * (X @ model.gamma)
 
 
@@ -335,7 +338,7 @@ def _log_difference_fold_fitter(layout: BlockLayout):
             theta = solve_spd(XVd @ XV.T + eye, z)
             return Ft[:, 0] + XtV @ (XVd.T @ theta)
 
-        return predict_point
+        return pointwise(predict_point)
 
     return fitter
 
@@ -403,7 +406,7 @@ def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
                     model, _ = _fit_full(X, Fs[:, 0], y, params, l_beta, layout)
                     return predict_calibration(model, Xt, Ft[:, 0])
 
-                return predict_point
+                return pointwise(predict_point)
 
             cv = grid_search_cv(full_fitter, grid, train.X, train.Fs, train.y,
                                 k=cv_folds, seed=child_seed(seed, "calibration-cv-full", split))

@@ -82,6 +82,17 @@ def _distances(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
     return cdist(X, X2, "euclidean")
 
 
+def _symmetric_distance_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """The Gram of a distance kernel on one sample set: the kernel is applied
+    once per pair, to ``pdist``'s condensed upper triangle (the same
+    differences ``cdist`` forms), and the diagonal is exactly 1."""
+    from scipy.spatial.distance import pdist, squareform
+
+    K = squareform(_apply_distance_kernel(spec, pdist(X, "euclidean")), checks=False)
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
 def _apply_distance_kernel(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     gamma = spec.length_scale
     fam = spec.family
@@ -117,9 +128,9 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 def gram(spec: KernelSpec, X, X2=None) -> np.ndarray:
     """Build the Gram matrix K[i, j] = k(X[i], X2[j]).
 
-    With ``X2`` omitted the matrix is built from one sample set: the upper
-    triangle is computed once and mirrored so the result is bit-exactly
-    symmetric, and stationary kernels get an exact unit diagonal.
+    With ``X2`` omitted the matrix is built from one sample set: each pair is
+    computed once, so the result is bit-exactly symmetric, and stationary
+    kernels get an exact unit diagonal.
     """
     X = _as_matrix(X)
     symmetric = X2 is None
@@ -127,15 +138,13 @@ def gram(spec: KernelSpec, X, X2=None) -> np.ndarray:
     if X.shape[1] != X2m.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {X2m.shape[1]} columns")
 
-    if spec.family == "linear":
-        g = spec.length_scale
-        K = X @ X2m.T / (2.0 * g * g) + 1.0
-    else:
-        K = _apply_distance_kernel(spec, _distances(X, X2m))
-
-    if symmetric:
+    if spec.is_stationary:
+        if symmetric:
+            return _symmetric_distance_gram(spec, X)
+        return _apply_distance_kernel(spec, _distances(X, X2m))
+    g = spec.length_scale
+    K = X @ X2m.T / (2.0 * g * g) + 1.0
+    if symmetric:  # mirror the upper triangle
         K = np.triu(K)
         K = K + np.triu(K, 1).T
-        if spec.is_stationary:
-            np.fill_diagonal(K, 1.0)
     return K

@@ -15,6 +15,7 @@ __all__ = [
     "kfold_split",
     "rmse",
     "grid_search_cv",
+    "pointwise",
     "KRR_SHRINK_GRID",
     "AFFINE_FULL_GRID",
     "AFFINE_CONSTRAINED_GRID",
@@ -117,62 +118,79 @@ def rmse(yhat, y) -> float:
     return float(np.sqrt(np.mean(d * d)))
 
 
+def pointwise(predict_point):
+    """A batch ``predict(points)`` for :func:`grid_search_cv` from a one-point
+    ``predict_point(params) -> yhat_test``: the rows, stacked in order."""
+    return lambda points: np.stack([predict_point(params) for params in points])
+
+
+def _predictions(predict, points, n_test: int):
+    """``predict(points)`` as a C-contiguous float array, or None if the call
+    raises or the array is not (len(points), n_test)."""
+    try:
+        rows = np.asarray(predict(points), dtype=float, order="C")
+    except Exception:
+        return None
+    return rows if rows.shape == (len(points), n_test) else None
+
+
 def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> CVResult:
     """Evaluate every grid point by k-fold CV and pick the best mean RMSE.
 
     The search is fold-major: ``fitter(X_train, Fs_train, y_train, X_test,
     Fs_test)`` is called once per fold, does the work that every grid point
-    shares there, and returns ``predict(params) -> yhat_test``, which is
-    called once per grid point.  Both must be deterministic given their
-    inputs.  All grid points share one fold split, and a fold's predictions
-    are scored together, with one vectorized RMSE.  If the fold call raises,
-    every point scores +inf; if ``predict`` raises or returns the wrong
-    number of values, only that point does.  Ties go to the first point in
-    grid order.
+    shares there, and returns ``predict(points)``.  Given a list of grid
+    points it returns one ``(len(points), n_test)`` array of test
+    predictions, one row per point in order (:func:`pointwise` builds it
+    from a one-point function).  Both must be deterministic given their
+    inputs.  All grid points share one fold split; each fold is one
+    ``predict`` call over the points still scoring, its rows are scored with
+    one vectorized RMSE, and the folds are averaged with one array mean.
+
+    If the fold call raises, every point scores +inf.  If ``predict`` raises
+    or returns another shape, the fold is re-run one point at a time
+    (``predict([point])``), and only the points whose call raises or does
+    not return one row score +inf; they are not asked for again.  Ties go
+    to the first point in grid order.
     """
     X = np.asarray(X, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     folds = kfold_split(y.shape[0], k, seed)
     points = list(grid.points())
-    fold_rmses: list[list[float] | None] = [[] for _ in points]  # None once failed
-    for train, test in folds:
+    scores = np.zeros((len(points), len(folds)))
+    alive = np.ones(len(points), dtype=bool)
+    for j, (train, test) in enumerate(folds):
         try:
-            predict_fn = fitter(X[train], Fs[train], y[train], X[test], Fs[test])
+            predict = fitter(X[train], Fs[train], y[train], X[test], Fs[test])
         except Exception:
-            fold_rmses = [None] * len(points)
+            alive[:] = False
             break
         y_test = y[test]
-        preds, scored = [], []
-        for i, params in enumerate(points):
-            if fold_rmses[i] is None:
+        live = np.flatnonzero(alive)
+        if live.size == 0:
+            continue
+        rows = _predictions(predict, [points[i] for i in live], y_test.size)
+        if rows is None:
+            single = [_predictions(predict, [points[i]], y_test.size) for i in live]
+            alive[[i for i, r in zip(live, single) if r is None]] = False
+            single = [r for r in single if r is not None]
+            if not single:
                 continue
-            try:
-                yhat = np.asarray(predict_fn(params), dtype=float).ravel()
-            except Exception:
-                yhat = None
-            if yhat is None or yhat.shape != y_test.shape:
-                fold_rmses[i] = None
-                continue
-            preds.append(yhat)
-            scored.append(i)
-        if scored:
-            # Row by row this is exactly ``rmse``: the same pairwise sum per
-            # contiguous row, the same division and square root.
-            diff = np.stack(preds) - y_test
-            for i, score in zip(scored, np.sqrt(np.mean(diff * diff, axis=1)).tolist()):
-                fold_rmses[i].append(score)
-    table = []
-    best_params = None
-    best_mean = math.inf
-    for params, scores in zip(points, fold_rmses):
-        mean = math.inf if scores is None else float(np.mean(scores))
-        table.append((dict(params), mean, scores or []))
-        if mean < best_mean:
-            best_mean, best_params = mean, dict(params)
-    if best_params is None:
-        best_params = dict(table[0][0])
-    return CVResult(best_params, table, seed)
+            live, rows = np.flatnonzero(alive), np.concatenate(single)
+        # Row by row this is exactly ``rmse``: the rows are C-contiguous, so
+        # each gets the same pairwise sum, division and square root.
+        diff = rows - y_test
+        scores[live, j] = np.sqrt(np.mean(diff * diff, axis=1))
+    # A C-contiguous (points x folds) mean adds each row's folds in the order
+    # that ``np.mean`` of the row's list does.
+    means = np.where(alive, scores.mean(axis=1), math.inf)
+    table = [(dict(params), mean, row.tolist() if ok else [])
+             for params, mean, row, ok in zip(points, means.tolist(), scores, alive)]
+    # The first of equal means wins; a NaN mean never does, and point 0 is
+    # kept when no mean is finite.
+    best = int(np.argmin(np.where(np.isnan(means), math.inf, means)))
+    return CVResult(dict(table[best][0]), table, seed)
 
 
 # Default search grids.  KRR shrink: 50 log-spaced points spanning [1e-4, 1e2].

@@ -15,6 +15,8 @@ factored once; :func:`solve_spd` composes the two.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -28,6 +30,7 @@ __all__ = [
 ]
 
 _JITTER_ESCALATIONS = 3
+_NON_FINITE = "matrix to factor has a non-finite entry"
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -48,7 +51,9 @@ def factor_spd(A, info: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     escalating x10 at most three times; the jitter actually applied is
     recorded under ``info["jitter"]`` when a dict is passed.  Returns the
     lower factor and the matrix it factors (A plus the jitter), which the
-    solve's refinement step multiplies by.
+    solve's refinement step multiplies by.  A matrix with a NaN or an
+    infinity in its lower triangle raises a ValueError instead of giving a
+    NaN factor: OpenBLAS's ``dpotrf`` can report success on one.
     """
     A = _sym(A)
     n = A.shape[0]
@@ -60,11 +65,18 @@ def factor_spd(A, info: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"LAPACK dpotrf rejected argument {-status}")
         if status > 0:  # the leading minor of order `status` is not positive definite
             if attempt == 0:
+                if not np.isfinite(A).all():  # no jitter can help, nor be NaN
+                    raise ValueError(_NON_FINITE)
                 base = 1e-10 * np.trace(A) / n
             jitter = base * 10.0**attempt
             if jitter <= 0.0:
                 break
             continue
+        # A NaN anywhere in the lower triangle, or a +inf on the diagonal,
+        # reaches the factor's diagonal; summing a Python list of it costs
+        # less than ``trace()`` at the sizes of an affine sweep.
+        if not math.isfinite(sum(factor.diagonal().tolist())):
+            raise ValueError(_NON_FINITE)
         if info is not None:
             info["jitter"] = jitter
         return factor, M

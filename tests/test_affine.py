@@ -513,6 +513,18 @@ class TestPredict:
             # batch rows may differ by BLAS summation order only
             assert single[0] == pytest.approx(batch[i], abs=1e-12)
 
+    @pytest.mark.parametrize("name,value,row", [
+        ("Xnew", np.nan, 2), ("FsNew", np.inf, 0), ("FsNew", -np.inf, 4)])
+    def test_non_finite_rows_rejected_with_row(self, name, value, row):
+        rng = np.random.default_rng(24)
+        X, Fs, y, *_ = make_problem(rng, 8)
+        cfg = FitConfig(0.1, 0.1, 0.1, variant="full_with_intercept", seed=4)
+        model, _ = fit(cfg, X, Fs, y, SPECS)
+        arrays = {"Xnew": rng.normal(size=(5, 3)), "FsNew": rng.normal(size=(5, 2))}
+        arrays[name][row, -1] = value
+        with pytest.raises(ValueError, match=f"non-finite value in {name} at row {row}"):
+            predict(model, arrays["Xnew"], arrays["FsNew"])
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(23)
         X, Fs, y, *_ = make_problem(rng, 6)

@@ -295,6 +295,28 @@ class TestFoldLevelKRR:
         want2 = self.check_two_stage("htl_scale", train, seed, specs, searches)
         assert all(math.isinf(m) for m in want2)
 
+    @pytest.mark.parametrize("n_train, n_test", [(2, 1), (8, 2), (40, 10), (50, 250)])
+    def test_batched_path_matches_per_shrink_products(self, n_train, n_test):
+        # one product for the whole grid against the per-shrink form
+        # A (b / (mu + s)), A = K_te,tr V and b = V'z
+        rng = np.random.default_rng(n_train)
+        spec = KernelSpec("rbf", 1.7)
+        Z, z = rng.normal(size=(n_train + n_test, 3)), rng.normal(size=n_train)
+        Ztr, Zte = Z[:n_train], Z[n_train:]
+        mu, V = np.linalg.eigh(gram(spec, Ztr))
+        A, b = gram(spec, Zte, Ztr) @ V, V.T @ z
+        shrinks = np.asarray(KRR_SHRINK_GRID.params["shrink"])
+        path = benchmark._krr_path(spec, Ztr, Zte, z)
+        rows = path(shrinks)
+        assert rows.shape == (len(shrinks), n_test) and rows.flags.c_contiguous
+        for s, row in zip(shrinks, rows):
+            want = A @ (b / (mu + s))
+            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+        for i in (0, 17, 49):  # a one-point call, as the per-point fallback makes
+            single = path(shrinks[i : i + 1])
+            assert single.shape == (1, n_test)
+            assert np.max(np.abs(single[0] - rows[i])) <= 1e-12 * np.max(np.abs(rows[i]))
+
     @pytest.mark.parametrize("spec", [
         KernelSpec("rbf", 1.3),
         KernelSpec("matern", 0.9, nu=0.5),

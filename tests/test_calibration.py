@@ -17,7 +17,14 @@ from affinetl.calibration import (
     update_calibration_block,
 )
 from affinetl.data import synth_dataset
-from affinetl.model_selection import CALIBRATION_GRID, Grid, child_seed, grid_search_cv, kfold_split
+from affinetl.model_selection import (
+    CALIBRATION_GRID,
+    Grid,
+    child_seed,
+    grid_search_cv,
+    kfold_split,
+    pointwise,
+)
 from affinetl.solvers import penalized_ls
 
 from conftest import fd_gradient, numeric_quadratic_argmin
@@ -289,7 +296,7 @@ def primal_residual_fitter(layout):
             gamma = fit_log_difference(X, Fs[:, 0], y, params["l1"], params["l2"], layout)
             return Ft[:, 0] + Xt @ gamma
 
-        return predict_point
+        return pointwise(predict_point)
 
     return fitter
 
@@ -455,6 +462,16 @@ class TestPredictCalibration:
         recomputed = (float(r @ r) / 25 + 1.0 * model.beta**2
                       + float(model.gamma @ lam @ model.gamma))
         assert recomputed == pytest.approx(trace.objectives[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("name,value,row", [
+        ("X", np.inf, 1), ("X", np.nan, 0), ("fs", np.nan, 3)])
+    def test_non_finite_rows_rejected_with_row(self, name, value, row):
+        rng = np.random.default_rng(16)
+        arrays = {"X": rng.normal(size=(4, 6)), "fs": rng.normal(size=4)}
+        arrays[name][row] = value
+        model = CalibrationModel(0.5, 1.0, 0.2, rng.normal(size=6), SMALL)
+        with pytest.raises(ValueError, match=f"non-finite value in {name} at row {row}"):
+            predict_calibration(model, arrays["X"], arrays["fs"])
 
     def test_shape_validation(self):
         model = CalibrationModel(0.0, 1.0, 0.0, np.zeros(6), SMALL)

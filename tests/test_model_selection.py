@@ -12,6 +12,7 @@ from affinetl.model_selection import (
     Grid,
     grid_search_cv,
     kfold_split,
+    pointwise,
     rmse,
 )
 
@@ -110,7 +111,7 @@ def linear_fitter(X, Fs, y, Xt, Ft):
         model = fit_baseline("direct", X, Fs, y, spec, params["shrink"])
         return predict_baseline(model, Xt, Ft)
 
-    return predict
+    return pointwise(predict)
 
 
 class TestGridSearchCV:
@@ -132,7 +133,7 @@ class TestGridSearchCV:
         X, Fs, y = self.make_linear_data(rng, n=20)
 
         def constant_fitter(Xtr, Fstr, ytr, Xt, Ft):
-            return lambda params: np.zeros(len(Xt))
+            return lambda points: np.zeros((len(points), len(Xt)))
 
         res = grid_search_cv(constant_fitter, Grid(shrink=[3.0, 1.0, 2.0]),
                              X, Fs, y, k=4, seed=1)
@@ -156,10 +157,10 @@ class TestGridSearchCV:
         def flaky_fitter(Xtr, Fstr, ytr, Xt, Ft):
             predict = linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
 
-            def flaky_predict(params):
-                if params["shrink"] < 0.01:
+            def flaky_predict(points):
+                if any(params["shrink"] < 0.01 for params in points):
                     raise RuntimeError("boom")
-                return predict(params)
+                return predict(points)
 
             return flaky_predict
 
@@ -211,7 +212,8 @@ class TestGridSearchCV:
 
 
 def per_point_grid_search_cv(fitter, grid, X, Fs, y, k, seed):
-    """The search scored one ``rmse`` call per (point, fold) (test oracle)."""
+    """The search scored one ``rmse`` call per (point, fold), each point
+    predicted alone as ``predict([point])`` (test oracle)."""
     folds = kfold_split(len(y), k, seed)
     points = list(grid.points())
     scores = [[] for _ in points]
@@ -221,7 +223,10 @@ def per_point_grid_search_cv(fitter, grid, X, Fs, y, k, seed):
             if scores[i] is None:
                 continue
             try:
-                scores[i].append(rmse(predict_fn(params), y[test]))
+                rows = np.asarray(predict_fn([params]), dtype=float)
+                if rows.shape != (1, len(test)):
+                    raise ValueError(f"one row of {len(test)} expected, got {rows.shape}")
+                scores[i].append(rmse(rows[0], y[test]))
             except Exception:
                 scores[i] = None
     table = [(params, math.inf if s is None else float(np.mean(s)), s or [])
@@ -232,18 +237,21 @@ def per_point_grid_search_cv(fitter, grid, X, Fs, y, k, seed):
 
 class TestStackedScoring:
     def test_matches_per_point_rmse_bit_for_bit(self):
-        # p = 2 raises, p = 3 returns one value too many, p = 4 a column
+        # p = 2 raises, p = 3 gets one value too many, p = 4 makes the batch
+        # column-major; the first fold's batch raises and falls back to one
+        # point at a time, the second fold's batch stands
         grid = Grid(p=[0.5, 1.0, 2.0, 3.0, 4.0, 1.5])
 
         def fitter(Xtr, Fstr, ytr, Xt, Ft):
-            def predict(params):
-                p = params["p"]
-                if p == 2.0:
+            def predict(points):
+                ps = [params["p"] for params in points]
+                if 2.0 in ps:
                     raise np.linalg.LinAlgError("singular")
-                yhat = np.sin(p * Xt[:, 0]) * 10.0 ** (3 * p - 6) + Ft[:, 0]
-                if p == 3.0:
-                    return np.append(yhat, 0.0)
-                return yhat[:, None] if p == 4.0 else yhat
+                rows = np.array([np.sin(p * Xt[:, 0]) * 10.0 ** (3 * p - 6) + Ft[:, 0]
+                                 for p in ps])
+                if 3.0 in ps:
+                    return np.hstack([rows, np.zeros((len(ps), 1))])
+                return np.asfortranarray(rows) if 4.0 in ps else rows
             return predict
 
         rng = np.random.default_rng(13)
@@ -256,3 +264,73 @@ class TestStackedScoring:
             assert res.best_params == best
             assert [mean == math.inf for _, mean, _ in table] == [
                 False, False, True, True, False, False]
+
+
+class TestBatchFallback:
+    def make_data(self, n=24):
+        rng = np.random.default_rng(17)
+        return rng.normal(size=(n, 3)), rng.normal(size=(n, 2)), rng.normal(size=n)
+
+    @pytest.mark.parametrize("batch_fault", ["raises", "wrong_shape"])
+    def test_failing_batch_falls_back_per_point(self, batch_fault):
+        grid = Grid(shrink=[1e-3, 0.1, 1.0, 10.0])
+        X, Fs, y = self.make_data()
+        calls = []
+
+        def batch_shy_fitter(Xtr, Fstr, ytr, Xt, Ft):
+            predict = linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+
+            def shy_predict(points):
+                calls.append([params["shrink"] for params in points])
+                if len(points) == 1:
+                    return predict(points)
+                if batch_fault == "raises":
+                    raise RuntimeError("no batches")
+                return predict(points)[:, :-1]
+
+            return shy_predict
+
+        got = grid_search_cv(batch_shy_fitter, grid, X, Fs, y, k=3, seed=6)
+        want = grid_search_cv(linear_fitter, grid, X, Fs, y, k=3, seed=6)
+        assert got.table == want.table
+        assert got.best_params == want.best_params
+        assert all(math.isfinite(mean) for _, mean, _ in got.table)
+        shrinks = [1e-3, 0.1, 1.0, 10.0]
+        assert calls == ([shrinks] + [[s] for s in shrinks]) * 3  # per fold
+
+    def test_failed_point_is_not_asked_for_again(self):
+        grid = Grid(shrink=[1e-3, 0.1, 1.0])
+        X, Fs, y = self.make_data()
+        calls = []
+
+        def fitter(Xtr, Fstr, ytr, Xt, Ft):
+            predict = linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+
+            def flaky_predict(points):
+                calls.append([params["shrink"] for params in points])
+                if any(params["shrink"] == 0.1 for params in points):
+                    raise ZeroDivisionError("boom")
+                return predict(points)
+
+            return flaky_predict
+
+        res = grid_search_cv(fitter, grid, X, Fs, y, k=3, seed=6)
+        assert calls == [[1e-3, 0.1, 1.0], [1e-3], [0.1], [1.0],
+                         [1e-3, 1.0], [1e-3, 1.0]]
+        assert [mean == math.inf for _, mean, _ in res.table] == [False, True, False]
+        assert res.table[1][2] == []
+        assert all(len(rmses) == 3 for i, (_, _, rmses) in enumerate(res.table) if i != 1)
+
+    def test_nan_mean_is_never_best(self):
+        X, Fs, y = self.make_data()
+
+        def fitter(Xtr, Fstr, ytr, Xt, Ft):
+            def predict(points):
+                return np.array([np.full(len(Xt), params["v"]) for params in points])
+            return predict
+
+        res = grid_search_cv(fitter, Grid(v=[np.nan, 5.0, 0.0, np.nan]), X, Fs, y, k=3, seed=1)
+        assert [math.isnan(mean) for _, mean, _ in res.table] == [True, False, False, True]
+        assert res.best_params == {"v": 0.0}
+        res = grid_search_cv(fitter, Grid(v=[np.inf, np.nan]), X, Fs, y, k=3, seed=1)
+        assert res.best_params == {"v": np.inf}

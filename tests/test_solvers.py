@@ -87,6 +87,32 @@ class TestFactorThenSolve:
             factor_spd(np.diag([1.0, 0.0]))
 
 
+class TestNonFiniteMatrix:
+    @pytest.mark.parametrize("A", [
+        np.array([[np.nan]]),
+        np.array([[np.inf]]),
+        np.array([[4.0, np.nan], [np.nan, 4.0]]),
+        np.array([[4.0, 0.0], [np.inf, 4.0]]),
+        np.diag([1.0, np.nan, 2.0]),
+        np.diag([np.inf, 1.0, 1.0]),
+        np.array([[4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [np.inf, 0.0, 4.0]]),
+        np.diag([-1.0, np.nan]),
+    ])
+    def test_rejected_without_a_jitter_retry(self, A, factor_sizes):
+        # dpotrf may report success on NaN; a failing one must not retry
+        # with a jitter computed from a non-finite trace
+        with pytest.raises(ValueError, match="non-finite entry"):
+            factor_spd(A)
+        assert len(factor_sizes) == 1
+        with pytest.raises(ValueError, match="non-finite entry"):
+            solve_spd(A, np.ones(A.shape[0]))
+
+    def test_finite_singular_matrix_still_gets_jitter(self, factor_sizes):
+        info = {}
+        factor_spd(np.ones((3, 3)), info=info)
+        assert info["jitter"] > 0 and len(factor_sizes) == 2
+
+
 class TestRidgeSolve:
     def test_identity_plus_shrink(self):
         c = ridge_solve(np.eye(3), np.array([2.0, 2.0, 2.0]), 1.0)
