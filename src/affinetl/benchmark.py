@@ -10,10 +10,9 @@ shifts the others' draws.
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -251,46 +250,23 @@ def aggregate_rows(rows) -> list[tuple[str, int, float, float]]:
     return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("AFFINETL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_benchmark(dataset: Dataset, config: BenchmarkConfig,
                   test_dataset: Dataset | None = None) -> BenchmarkReport:
-    """Run the full (procedure, size, repeat) sweep.
+    """Run the full (procedure, size, repeat) sweep, one cell after another.
 
-    A failing cell is recorded as NaN with a log line on stderr; the sweep
-    always completes.  Cells are independent, so AFFINETL_THREADS > 1 runs
-    them in a thread pool; results are merged in cell order regardless.
+    A cell that raises a ValueError (too few rows for the split, say),
+    ZeroDivisionError or LinAlgError is recorded as NaN with a line on
+    stderr naming the exception, and the sweep goes on; any other exception
+    is a bug and propagates.
     """
-    cells = [
-        (proc, n, rep)
-        for proc in config.procedures
-        for n in config.train_sizes
-        for rep in range(config.repeats)
-    ]
-
-    def compute(cell):
-        proc, n, rep = cell
-        try:
-            return _run_cell(dataset, test_dataset, proc, n, rep, config)
-        except Exception as exc:
-            print(f"affinetl: cell {cell} failed: {exc}", file=sys.stderr)
-            return float("nan")
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(compute, cells))
-    else:
-        values = [compute(cell) for cell in cells]
-
     report = BenchmarkReport()
-    for (proc, n, rep), value in zip(cells, values):
+    for proc, n, rep in product(config.procedures, config.train_sizes, range(config.repeats)):
+        try:
+            value = _run_cell(dataset, test_dataset, proc, n, rep, config)
+        except (ValueError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
+            print(f"affinetl: cell {(proc, n, rep)} failed: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            value = float("nan")
         report.rows.append((proc, n, rep, value))
         if math.isnan(value):
             report.failures += 1

@@ -98,12 +98,16 @@ def solve_factored(factored: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np
 def solve_spd(A, b, info: dict | None = None) -> np.ndarray:
     """Solve A x = b for symmetric PSD A via Cholesky: :func:`factor_spd`
     (with its jitter retry, recorded in ``info``), then :func:`solve_factored`.
+    A NaN or an infinity in ``b`` or anywhere in ``A`` (the factor reads only
+    its lower triangle, the refinement step all of it) raises a ValueError.
     """
     A = _sym(A)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if b.shape[0] != n:
         raise ValueError(f"shape mismatch: matrix {A.shape}, rhs {b.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("system to solve has a non-finite entry")
     if n == 0:
         return np.zeros(b.shape)
     return solve_factored(factor_spd(A, info), b)

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _NEG_EIG_TOL = 1e-8
+_DECAY_FLOOR = 0.01  # smallest decay rate reported
+_EIG_TOL = 1e-10  # eigenvalues at or below this times the largest are zeros
 
 
 @dataclass(frozen=True)
@@ -101,35 +103,36 @@ def eigvals_desc(K) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
-def decay_rate(K, floor: float = 0.01, eig_tol: float = 1e-10) -> DecayEstimate:
-    """Smallest decay exponent s in (0, 1] of the diagonal-rescaled matrix.
+def decay_rate(K) -> DecayEstimate:
+    """Smallest decay exponent s in [0.01, 1] of the diagonal-rescaled matrix.
 
-    Eigenvalues at or below ``eig_tol`` times the largest are noise-level
-    zeros and satisfy the bound for every s, so they are excluded; so is
-    i = 1, whose constraint is vacuous.  Degenerate spectra with no binding
-    index (e.g. rank one) return ``floor`` with ``floor_applied`` set.
+    Eigenvalues at or below 1e-10 times the largest are noise-level zeros
+    and satisfy the bound for every s, so they are excluded; so is i = 1,
+    whose constraint is vacuous.  A rate below the floor 0.01, and
+    degenerate spectra with no binding index (e.g. rank one), return the
+    floor with ``floor_applied`` set.
     """
     A = np.asarray(K, dtype=float)
     scale = float(np.max(np.diagonal(A))) if A.size else 0.0
     if scale <= 0.0:
-        return DecayEstimate(floor, 0, True)
+        return DecayEstimate(_DECAY_FLOOR, 0, True)
     A = A / scale
     lam = eigvals_desc(A)
     if lam[0] <= 0.0:
-        return DecayEstimate(floor, 0, True)
+        return DecayEstimate(_DECAY_FLOOR, 0, True)
     fro2 = float(np.sum(A * A))
     idx = np.arange(2, lam.size + 1)
-    keep = lam[1:] > eig_tol * lam[0]
+    keep = lam[1:] > _EIG_TOL * lam[0]
     used = int(np.count_nonzero(keep)) + 1
     if not np.any(keep):
-        return DecayEstimate(floor, used, True)
+        return DecayEstimate(_DECAY_FLOOR, used, True)
     i = idx[keep].astype(float)
     log_ratio = np.log(fro2 / lam[1:][keep])
     with np.errstate(divide="ignore"):
         s_all = np.where(log_ratio > 0.0, np.log(i) / log_ratio, np.inf)
     s = float(np.max(s_all))
-    if s < floor:
-        return DecayEstimate(floor, used, True)
+    if s < _DECAY_FLOOR:
+        return DecayEstimate(_DECAY_FLOOR, used, True)
     return DecayEstimate(min(s, 1.0), used, False)
 
 

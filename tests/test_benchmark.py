@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -170,15 +171,48 @@ class TestRunBenchmark:
         report = run_benchmark(ds, config, test_dataset=test_ds)
         assert report.failures == 0
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError, np.linalg.LinAlgError])
+    def test_numerical_failure_logged_with_its_type(self, monkeypatch, capsys, error):
+        def failing(*args):
+            raise error("no fit")
+
+        monkeypatch.setattr(benchmark, "_run_cell", failing)
+        config = BenchmarkConfig(seed=4, procedures=("direct",), train_sizes=(10,),
+                                 repeats=2, cv_folds=3)
+        report = run_benchmark(self.make_dataset(), config)
+        assert report.failures == 2
+        assert all(math.isnan(r[3]) for r in report.rows)
+        assert f"{error.__name__}: no fit" in capsys.readouterr().err
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def buggy(*args):
+            raise TypeError("bug in a cell")
+
+        monkeypatch.setattr(benchmark, "_run_cell", buggy)
+        config = BenchmarkConfig(seed=4, procedures=("direct",), train_sizes=(10,),
+                                 repeats=1, cv_folds=3)
+        with pytest.raises(TypeError, match="bug in a cell"):
+            run_benchmark(self.make_dataset(), config)
+
+    def test_cells_run_on_the_calling_thread(self, monkeypatch):
+        # a thread-count variable from the environment changes nothing
         ds = self.make_dataset()
         config = BenchmarkConfig(seed=7, procedures=("direct", "only_source"),
                                  train_sizes=(10,), repeats=2, cv_folds=3,
                                  test_cap=30)
-        serial = run_benchmark(ds, config)
+        plain = run_benchmark(ds, config)
+        threads = []
+        run_cell = benchmark._run_cell
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return run_cell(*args)
+
+        monkeypatch.setattr(benchmark, "_run_cell", recording)
         monkeypatch.setenv("AFFINETL_THREADS", "4")
-        threaded = run_benchmark(ds, config)
-        assert serial.rows == threaded.rows
+        report = run_benchmark(ds, config)
+        assert threads == [threading.get_ident()] * 4
+        assert report.rows == plain.rows
 
 
 def per_point_cv_means(fit_point, X, Fs, y, k, seed):

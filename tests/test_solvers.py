@@ -107,6 +107,19 @@ class TestNonFiniteMatrix:
         with pytest.raises(ValueError, match="non-finite entry"):
             solve_spd(A, np.ones(A.shape[0]))
 
+    def test_solve_rejects_non_finite_rhs(self):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            solve_spd(np.eye(2), [1.0, np.nan])
+        with pytest.raises(ValueError, match="non-finite entry"):
+            solve_spd(np.eye(2), np.array([[1.0, 0.0], [np.inf, 1.0]]))
+
+    def test_solve_rejects_non_finite_upper_triangle(self):
+        # the factor never reads the upper triangle, so this one factors
+        with pytest.raises(ValueError, match="non-finite entry"):
+            solve_spd([[2.0, np.nan], [0.5, 2.0]], [1.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite entry"):
+            solve_spd([[2.0, -np.inf], [0.5, 2.0]], [1.0, 1.0])
+
     def test_finite_singular_matrix_still_gets_jitter(self, factor_sizes):
         info = {}
         factor_spd(np.ones((3, 3)), info=info)
