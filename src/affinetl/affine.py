@@ -308,7 +308,7 @@ def _update_ratio(new, old) -> float:
 
 def alternate(sweep, objective_of, state: tuple, tol: float, max_iter: int,
               watched: int) -> tuple[tuple, FitTrace]:
-    """Alternating exact block minimization, shared by every iterative fit.
+    """Alternating exact block minimization, the driver of :func:`fit`.
 
     ``sweep(state)`` returns the state after one pass of block updates and
     ``objective_of(state)`` its objective.  Sweeps run until the largest

@@ -23,6 +23,7 @@ from .kernels import KernelSpec, gram
 from .model_selection import (
     AFFINE_CONSTRAINED_GRID,
     AFFINE_FULL_GRID,
+    FIT_ERRORS,
     KRR_SHRINK_GRID,
     child_seed,
     grid_search_cv,
@@ -263,7 +264,7 @@ def run_benchmark(dataset: Dataset, config: BenchmarkConfig,
     for proc, n, rep in product(config.procedures, config.train_sizes, range(config.repeats)):
         try:
             value = _run_cell(dataset, test_dataset, proc, n, rep, config)
-        except (ValueError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
+        except FIT_ERRORS as exc:
             print(f"affinetl: cell {(proc, n, rep)} failed: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             value = float("nan")

@@ -11,9 +11,12 @@ descriptor block (no penalty across block boundaries).  Two reference
 models bracket it: plain linear regression on fs alone, and a ridge fit of
 gamma on the residual y - fs.
 
-The full model is fit by cyclic exact minimization over the alpha pair,
-beta, and gamma, starting from the reference fits, under the same
-alternating-minimization driver as the affine transfer model.
+Given beta the full model is linear in (alpha, gamma), so it is fit by a
+search over beta alone on the profile f(beta), the objective minimized over
+(alpha, gamma) at that beta (variable projection: Golub & Pereyra, 1973).
+As f(beta) >= l_beta beta^2, |beta| <= sqrt(f(0) / l_beta) brackets the
+minimizer, which needs l_beta > 0.  A fit's ``iterations`` count profile
+evaluations, and ``converged`` means the bracket closed to ``tol``.
 
 The penalty is Lambda = l1 I + l2 T for the layout's fixed path Laplacian T,
 so one eigendecomposition T = V diag(mu) V' diagonalizes it for every
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .affine import FitTrace, _check_finite, alternate
+from .affine import FitTrace, _check_finite
 from .model_selection import CALIBRATION_GRID, child_seed, grid_search_cv, pointwise, rmse
 from .solvers import factor_spd, penalized_ls, solve_factored, solve_spd
 
@@ -43,7 +46,6 @@ __all__ = [
     "build_fused_penalty",
     "fit_olr",
     "fit_log_difference",
-    "update_calibration_block",
     "fit_calibration",
     "predict_calibration",
     "run_calibration_experiment",
@@ -179,34 +181,15 @@ def calibration_objective(
     """(1/n) ||y - yhat||^2 + l_beta beta^2 + gamma' Lambda gamma."""
     X, fs, y = _check_calibration_inputs(X, fs, y, layout)
     gamma = np.asarray(gamma, dtype=float).ravel()
+    r = y - (alpha0 + alpha1 * fs - (beta * fs + 1.0) * (X @ gamma))
     lam = build_fused_penalty(layout, l1, l2)
-    return _calibration_objective_given(
-        np.array([alpha0, alpha1]), beta, gamma, X @ gamma, fs, y, l_beta, lam
-    )
-
-
-# Block kernels and the objective take the product X gamma (``Xg``) of the
-# current gamma: a fit forms it once per sweep, right after the gamma-step.
-
-def _calibration_objective_given(alpha, beta, gamma, Xg, fs, y, l_beta, lam) -> float:
-    r = y - (alpha[0] + alpha[1] * fs - (beta * fs + 1.0) * Xg)
     return float(r @ r) / y.shape[0] + l_beta * beta**2 + float(gamma @ (lam @ gamma))
-
-
-def _argmin_alpha(F, FtF_factor, fs, y, beta, Xg) -> np.ndarray:
-    """Exact alpha-step; ``FtF_factor`` is ``factor_spd(F'F)``."""
-    return solve_factored(FtF_factor, F.T @ (y + (beta * fs + 1.0) * Xg))
-
-
-def _argmin_beta(F, fs, y, alpha, Xg, l_beta) -> float:
-    v = fs * Xg
-    return -float(v @ (y - F @ alpha + Xg)) / (float(v @ v) + y.shape[0] * l_beta)
 
 
 def _dual_gamma_basis(X, layout, l1, l2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G0 = X Lambda^{-1} X', Lambda^{-1} X' for Lambda = l1 I + l2 T, from
     one eigendecomposition of the path Laplacian T, and n I: the parts of
-    the dual gamma-step that stay fixed across a fit."""
+    the profile that stay fixed across a fit."""
     if not l1 > 0:
         raise ValueError(f"l1 must be positive for the dual gamma solve, got {l1}")
     mu, V = _laplacian_eigenbasis(layout)
@@ -216,35 +199,42 @@ def _dual_gamma_basis(X, layout, l1, l2) -> tuple[np.ndarray, np.ndarray, np.nda
     return XVd @ XV.T, V @ XVd.T, n * np.eye(n)
 
 
-def _argmin_gamma(G0, lam_inv_xt, n_eye, F, fs, y, alpha, beta) -> np.ndarray:
-    """Exact gamma-step in the dual: with w = beta fs + 1 and t = y - F alpha,
-    (w w' o G0 + n I) theta = t and gamma = -Lambda^{-1} X' (w o theta),
-    which minimizes (1/n) ||t + w o (X gamma)||^2 + gamma' Lambda gamma."""
+def _profile(beta, basis, F, fs, y, l_beta) -> tuple[float, np.ndarray, np.ndarray]:
+    """(f(beta), alpha, gamma): the objective minimized over (alpha, gamma) at
+    beta, and the minimizer.  With w = beta fs + 1 and ``basis`` (G0,
+    Lambda^{-1} X', n I), alpha fits y on F = [1, fs] by least squares
+    weighted by M^{-1}, M = (w w') o G0 + n I, and gamma = -Lambda^{-1} X'
+    (w o theta) for theta = M^{-1} (y - F alpha); then the residual is
+    n theta, and the loss plus the penalty on gamma is (y - F alpha)' theta."""
+    G0, lam_inv_xt, n_eye = basis
     w = beta * fs + 1.0
-    theta = solve_spd(np.multiply.outer(w, w) * G0 + n_eye, y - F @ alpha)
-    return -(lam_inv_xt @ (w * theta))
+    solved = solve_factored(factor_spd(np.multiply.outer(w, w) * G0 + n_eye),
+                            np.column_stack([y, F]))
+    alpha = solve_spd(F.T @ solved[:, 1:], F.T @ solved[:, 0])
+    theta = solved[:, 0] - solved[:, 1:] @ alpha
+    value = float((y - F @ alpha) @ theta) + l_beta * beta**2
+    return value, alpha, -(lam_inv_xt @ (w * theta))
 
 
-def update_calibration_block(which, state, X, fs, y, l_beta, l1, l2, layout):
-    """Exact minimizer of the calibration objective over one block.
+_GRID_POINTS = 33  # odd, so that beta = 0 is the middle one
+_GOLDEN = (3.0 - 5.0**0.5) / 2.0  # the golden section's shorter part
 
-    ``state`` is (alpha0, alpha1, beta, gamma); ``which`` selects "alpha"
-    (returns a length-2 array), "beta" (a float), or "gamma" (a vector; needs
-    l1 > 0).
-    """
-    X, fs, y = _check_calibration_inputs(X, fs, y, layout)
-    alpha0, alpha1, beta, gamma = state
-    alpha = np.array([alpha0, alpha1], dtype=float)
-    gamma = np.asarray(gamma, dtype=float).ravel()
-    F = np.column_stack([np.ones_like(fs), fs])
-    Xg = X @ gamma
-    if which == "alpha":
-        return _argmin_alpha(F, factor_spd(F.T @ F), fs, y, beta, Xg)
-    if which == "beta":
-        return _argmin_beta(F, fs, y, alpha, Xg, l_beta)
-    if which == "gamma":
-        return _argmin_gamma(*_dual_gamma_basis(X, layout, l1, l2), F, fs, y, alpha, beta)
-    raise ValueError(f"unknown block {which!r}")
+
+def _golden_section(f, a, b, x, fx, tol) -> None:
+    """Golden-section search for a minimum of f on [a, b] from x in it, with
+    f(x) = fx, until the bracket is at most tol (1 + |x|) wide."""
+    while b - a > tol * (1.0 + abs(x)):
+        u = x + _GOLDEN * ((b - x) if b - x > x - a else (a - x))
+        fu = f(u)
+        if fu < fx:
+            a, b = (x, b) if u > x else (a, x)
+            x, fx = u, fu
+        else:
+            a, b = (a, u) if u > x else (u, b)
+
+
+class _OutOfEvaluations(Exception):
+    """A fit has spent its ``max_iter`` profile evaluations."""
 
 
 def fit_calibration(
@@ -255,53 +245,58 @@ def fit_calibration(
     l2: float,
     l_beta: float = 1.0,
     layout: BlockLayout | None = None,
-    tol: float = 1e-4,
+    tol: float = 1e-8,
     max_iter: int = 1000,
 ) -> tuple[CalibrationModel, FitTrace]:
-    """Fit the full calibration model by cyclic exact block minimization.
+    """Fit the full calibration model by a search over beta on its profile.
 
-    Initialization: (alpha0, alpha1) from the plain line fit, beta = 0,
-    gamma = -gamma_diff from the residual ridge fit (sign flipped so the
-    starting predictor reproduces that reference model).  Each update is the
-    exact minimizer of the objective over its block, so the trace is
-    nonincreasing; :func:`affinetl.affine.alternate` stops on the largest
-    relative change over {alpha, beta, gamma}.  The gamma-step is an n x n
-    dual solve on G0 = X Lambda^{-1} X', formed once per fit, which needs
-    ``l1 > 0``.  The alpha-step's 2 x 2 system F'F is factored once per fit,
-    and X gamma is formed once per sweep and shared by the objective and the
-    next sweep's alpha- and beta-steps.
+    One evaluation of the profile f(beta) is one n x n dual solve
+    (:func:`_profile`).  The search evaluates f at 33 evenly spaced points
+    of |beta| <= sqrt(f(0) / l_beta), f(0) first, then narrows the best
+    one's neighbourhood by golden sections to a width of tol (1 + |beta|),
+    and returns the best point evaluated.  The trace holds the best value
+    after each evaluation; ``converged`` says the bracket closed within
+    ``max_iter`` evaluations.  ``l_beta`` must be positive and finite,
+    ``l1`` positive, and ``fs`` not constant.
     """
     if layout is None:
         layout = default_layout()
     X, fs, y = _check_calibration_inputs(X, fs, y, layout)
-    n = y.shape[0]
-    if n < 3:
+    if y.shape[0] < 3:
         raise ValueError("need at least three rows")
     _check_finite(X=X, fs=fs, y=y)
-    G0, lam_inv_xt, n_eye = _dual_gamma_basis(X, layout, l1, l2)
-
-    alpha = np.array(fit_olr(fs, y))
-    beta = 0.0
-    gamma = -fit_log_difference(X, fs, y, l1, l2, layout)
-
+    if not 0.0 < l_beta < np.inf:
+        raise ValueError(f"l_beta must be positive and finite, got {l_beta}")
+    if not (tol > 0 and max_iter >= 1):
+        raise ValueError(f"need tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
+    if np.ptp(fs) == 0.0:
+        raise ValueError("fs is constant; the slope is unidentifiable")
+    basis = _dual_gamma_basis(X, layout, l1, l2)
     F = np.column_stack([np.ones_like(fs), fs])
-    FtF_factor = factor_spd(F.T @ F)
-    lam = build_fused_penalty(layout, l1, l2)
+    trace = FitTrace()
+    points = []  # (f(beta), beta, alpha, gamma) per evaluation
 
-    # The state carries X gamma after (alpha, beta, gamma).
-    def sweep(state):
-        alpha, beta, gamma, Xg = state
-        alpha = _argmin_alpha(F, FtF_factor, fs, y, beta, Xg)
-        beta = _argmin_beta(F, fs, y, alpha, Xg, l_beta)
-        gamma = _argmin_gamma(G0, lam_inv_xt, n_eye, F, fs, y, alpha, beta)
-        return alpha, beta, gamma, X @ gamma
+    def profile(beta):
+        if trace.iterations == max_iter:
+            raise _OutOfEvaluations
+        value, alpha, gamma = _profile(beta, basis, F, fs, y, l_beta)
+        points.append((value, beta, alpha, gamma))
+        trace.objectives.append(min([value, *trace.objectives[-1:]]))
+        trace.iterations += 1
+        return value
 
-    (alpha, beta, gamma, _), trace = alternate(
-        sweep, lambda s: _calibration_objective_given(*s, fs, y, l_beta, lam),
-        (alpha, beta, gamma, X @ gamma), tol, max_iter, watched=3,
-    )
-    model = CalibrationModel(float(alpha[0]), float(alpha[1]), beta, gamma, layout)
-    return model, trace
+    try:
+        f0 = profile(0.0)
+        grid = np.sqrt(f0 / l_beta) * np.linspace(-1.0, 1.0, _GRID_POINTS)
+        values = [f0 if beta == 0.0 else profile(beta) for beta in grid]
+        k = int(np.argmin(values))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        _golden_section(profile, lo, hi, grid[k], values[k], tol)
+        trace.converged = True
+    except _OutOfEvaluations:
+        pass
+    _, beta, alpha, gamma = min(points, key=lambda point: point[0])
+    return CalibrationModel(float(alpha[0]), float(alpha[1]), float(beta), gamma, layout), trace
 
 
 def predict_calibration(model: CalibrationModel, X, fs) -> np.ndarray:

@@ -194,7 +194,7 @@ def _cmd_calibrate(args) -> int:
     for split, trace in enumerate(traces):
         if not trace.converged:
             print(f"affinetl: calibrate split {split}: full model not converged after "
-                  f"{trace.iterations} iterations", file=sys.stderr)
+                  f"{trace.iterations} profile evaluations", file=sys.stderr)
     out_dir = Path(args.out_dir)
     _write_csv(out_dir / "calibration.csv", ["model", "split", "rmse"], rows)
     _write_csv(out_dir / "gamma.csv", ["block", "index", "value"], gamma_rows)

@@ -124,12 +124,15 @@ def pointwise(predict_point):
     return lambda points: np.stack([predict_point(params) for params in points])
 
 
+FIT_ERRORS = (ValueError, ZeroDivisionError, np.linalg.LinAlgError)
+
+
 def _predictions(predict, points, n_test: int):
     """``predict(points)`` as a C-contiguous float array, or None if the call
     raises or the array is not (len(points), n_test)."""
     try:
         rows = np.asarray(predict(points), dtype=float, order="C")
-    except Exception:
+    except FIT_ERRORS:
         return None
     return rows if rows.shape == (len(points), n_test) else None
 
@@ -147,11 +150,11 @@ def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> C
     ``predict`` call over the points still scoring, its rows are scored with
     one vectorized RMSE, and the folds are averaged with one array mean.
 
-    If the fold call raises, every point scores +inf.  If ``predict`` raises
-    or returns another shape, the fold is re-run one point at a time
-    (``predict([point])``), and only the points whose call raises or does
-    not return one row score +inf; they are not asked for again.  Ties go
-    to the first point in grid order.
+    If the fold call raises one of ``FIT_ERRORS``, every point scores +inf.
+    If ``predict`` raises one or returns another shape, the fold is re-run
+    one point at a time (``predict([point])``), and only the points whose
+    call raises or does not return one row score +inf; they are not asked
+    for again.  Other exceptions propagate.  Ties go to the first point.
     """
     X = np.asarray(X, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
@@ -163,7 +166,7 @@ def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> C
     for j, (train, test) in enumerate(folds):
         try:
             predict = fitter(X[train], Fs[train], y[train], X[test], Fs[test])
-        except Exception:
+        except FIT_ERRORS:
             alive[:] = False
             break
         y_test = y[test]

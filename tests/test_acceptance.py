@@ -14,15 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from affinetl import calibration
 from affinetl.affine import FitConfig, fit, fit_constrained, objective, predict, update_block
 from affinetl.baselines import fit_baseline, predict_baseline
 from affinetl.benchmark import BenchmarkConfig, run_benchmark
-from affinetl.calibration import (
-    BlockLayout,
-    build_fused_penalty,
-    calibration_objective,
-    update_calibration_block,
-)
+from affinetl.calibration import BlockLayout, build_fused_penalty, calibration_objective
 from affinetl.cli import main
 from affinetl.data import load_sarcos, synth_dataset
 from affinetl.kernels import KernelSpec, gram
@@ -156,7 +152,7 @@ def test_criterion_2_closed_form_exactness():
         oracle = numeric_quadratic_argmin(f_ls, 5)
         assert np.max(np.abs(w - oracle)) <= 1e-5, ("penalized_ls", trial)
 
-    # calibration block updates
+    # calibration: one profile evaluation minimizes jointly over (alpha, gamma)
     for trial in range(20):
         n, p = 18, 6
         X = rng.normal(size=(n, p))
@@ -165,22 +161,18 @@ def test_criterion_2_closed_form_exactness():
         l_beta, l1, l2 = 1.0, 0.4, 1.5
         state = (float(rng.normal()), 1.0 + 0.1 * float(rng.normal()),
                  0.1 * float(rng.normal()), 0.2 * rng.normal(size=p))
-        for which, dim in (("alpha", 2), ("beta", 1), ("gamma", p)):
-            new = update_calibration_block(which, state, X, fs, y,
-                                           l_beta, l1, l2, layout)
+        beta = state[2]  # the profile step reads beta alone
+        basis = calibration._dual_gamma_basis(X, layout, l1, l2)
+        F = np.column_stack([np.ones(n), fs])
+        _, alpha, gamma = calibration._profile(beta, basis, F, fs, y, l_beta)
 
-            def f_cal(v):
-                if which == "alpha":
-                    s = (v[0], v[1], state[2], state[3])
-                elif which == "beta":
-                    s = (state[0], state[1], float(v[0]), state[3])
-                else:
-                    s = (state[0], state[1], state[2], v)
-                return calibration_objective(*s, X, fs, y, l_beta, l1, l2, layout)
+        def f_cal(v):
+            return calibration_objective(v[0], v[1], beta, v[2:], X, fs, y,
+                                         l_beta, l1, l2, layout)
 
-            oracle = numeric_quadratic_argmin(f_cal, dim)
-            got = np.atleast_1d(np.asarray(new, dtype=float))
-            assert np.max(np.abs(got - oracle)) <= 1e-5, ("calibration", which, trial)
+        oracle = numeric_quadratic_argmin(f_cal, 2 + p)
+        got = np.concatenate([alpha, gamma])
+        assert np.max(np.abs(got - oracle)) <= 1e-5, ("calibration", trial)
 
 
 @criterion(3, "reduction identities hold to 1e-10")

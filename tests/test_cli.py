@@ -321,7 +321,8 @@ class TestCalibrateCommand:
         assert main(argv + ["--out-dir", str(tmp_path / "stalled")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert err == [
-            f"affinetl: calibrate split {i}: full model not converged after 1000 iterations"
+            f"affinetl: calibrate split {i}: full model not converged after 1000 "
+            "profile evaluations"
             for i in (0, 2)
         ]
         for name in ("calibration.csv", "gamma.csv"):
@@ -346,6 +347,15 @@ class TestCalibrateCommand:
                      "--out-dir", str(tmp_path / "cal")])
         assert code == 1
         assert capsys.readouterr().err == "affinetl: error: splits must be at least 1, got 0\n"
+        assert not (tmp_path / "cal").exists()
+
+    def test_nonpositive_l_beta_rejected(self, tmp_path, capsys):
+        code = main(["calibrate", "--synth-n", "40", "--dims", "24", "--seed", "1",
+                     "--splits", "1", "--train-size", "30", "--test-size", "8",
+                     "--l-beta", "0", "--out-dir", str(tmp_path / "cal")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "affinetl: error: l_beta must be positive and finite, got 0.0\n"
         assert not (tmp_path / "cal").exists()
 
     def test_well_specified_models_score_alike(self):

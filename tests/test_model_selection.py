@@ -7,6 +7,7 @@ from affinetl.baselines import fit_baseline, predict_baseline
 from affinetl.kernels import KernelSpec
 from affinetl.model_selection import (
     AFFINE_FULL_GRID,
+    FIT_ERRORS,
     KRR_SHRINK_GRID,
     CVResult,
     Grid,
@@ -159,7 +160,7 @@ class TestGridSearchCV:
 
             def flaky_predict(points):
                 if any(params["shrink"] < 0.01 for params in points):
-                    raise RuntimeError("boom")
+                    raise ValueError("boom")
                 return predict(points)
 
             return flaky_predict
@@ -176,13 +177,41 @@ class TestGridSearchCV:
         def failing_fold_fitter(Xtr, Fstr, ytr, Xt, Ft):
             calls.append(len(ytr))
             if len(calls) == 2:
-                raise RuntimeError("boom")
+                raise ValueError("boom")
             return linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
 
         res = grid_search_cv(failing_fold_fitter, Grid(shrink=[1e-3, 0.5, 2.0]),
                              X, Fs, y, k=3, seed=3)
         assert all(mean == math.inf and rmses == [] for _, mean, rmses in res.table)
         assert res.best_params == {"shrink": 1e-3}
+
+    @pytest.mark.parametrize("where", ["fitter", "predict"])
+    def test_other_exceptions_propagate(self, where):
+        # a TypeError is a bug, not a grid point that cannot be fit
+        rng = np.random.default_rng(9)
+        X, Fs, y = self.make_linear_data(rng, n=15)
+
+        def buggy_fitter(Xtr, Fstr, ytr, Xt, Ft):
+            if where == "fitter":
+                raise TypeError("bug")
+
+            def predict(points):
+                raise TypeError("bug")
+
+            return predict
+
+        with pytest.raises(TypeError, match="bug"):
+            grid_search_cv(buggy_fitter, Grid(shrink=[1e-3, 0.5]), X, Fs, y, k=3, seed=3)
+
+    def test_linalg_error_in_a_fold_still_scores_infinity(self):
+        rng = np.random.default_rng(9)
+        X, Fs, y = self.make_linear_data(rng, n=15)
+
+        def singular_fitter(Xtr, Fstr, ytr, Xt, Ft):
+            raise np.linalg.LinAlgError("singular")
+
+        res = grid_search_cv(singular_fitter, Grid(shrink=[1e-3, 0.5]), X, Fs, y, k=3, seed=3)
+        assert [mean for _, mean, _ in res.table] == [math.inf, math.inf]
 
     def test_fitter_called_once_per_fold(self):
         rng = np.random.default_rng(11)
@@ -227,7 +256,7 @@ def per_point_grid_search_cv(fitter, grid, X, Fs, y, k, seed):
                 if rows.shape != (1, len(test)):
                     raise ValueError(f"one row of {len(test)} expected, got {rows.shape}")
                 scores[i].append(rmse(rows[0], y[test]))
-            except Exception:
+            except FIT_ERRORS:
                 scores[i] = None
     table = [(params, math.inf if s is None else float(np.mean(s)), s or [])
              for params, s in zip(points, scores)]
@@ -285,7 +314,7 @@ class TestBatchFallback:
                 if len(points) == 1:
                     return predict(points)
                 if batch_fault == "raises":
-                    raise RuntimeError("no batches")
+                    raise ValueError("no batches")
                 return predict(points)[:, :-1]
 
             return shy_predict
