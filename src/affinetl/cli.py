@@ -175,7 +175,8 @@ def _cmd_spectral(args) -> int:
     )
     rows = [dataclasses.astuple(row) for d in range(cfg.n_bases + 1)
             for row in run_overlap_experiment(dataclasses.replace(cfg, d=d))]
-    _write_csv(args.out, ["d", "repeat", "s2", "s3", "s_hadamard"], rows)
+    _write_csv(args.out, ["d", "repeat", "s2", "s3", "s_hadamard",
+                          "s2_floored", "s3_floored", "s_hadamard_floored"], rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -75,8 +75,9 @@ def _distances(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
     ``cdist`` forms each coordinate difference directly (not via the
     expanded-square shortcut), so near-identical points keep full precision.
     """
-    # Imported on first use: importing scipy.spatial adds about a quarter to
-    # the cost of ``import affinetl``.
+    # Imported on first use, as solvers binds LAPACK: scipy.spatial loads
+    # scipy.linalg, and the two take two to three times as long to import as
+    # the rest of ``import affinetl``.
     from scipy.spatial.distance import cdist
 
     return cdist(X, X2, "euclidean")

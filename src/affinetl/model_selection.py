@@ -54,9 +54,16 @@ class Grid:
 
 @dataclass
 class CVResult:
+    """Outcome of :func:`grid_search_cv`: the chosen point, one ``(params,
+    mean RMSE, fold RMSEs)`` row per grid point in grid order, the split
+    seed, and ``failed_points``, the number of points scored +inf because a
+    fold fit or ``predict`` raised one of ``FIT_ERRORS`` (or returned another
+    shape).  Their rows have no fold RMSEs."""
+
     best_params: dict
     table: list[tuple[dict, float, list[float]]] = field(default_factory=list)
     seed: int = 0
+    failed_points: int = 0
 
 
 _MASK64 = (1 << 64) - 1
@@ -154,7 +161,8 @@ def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> C
     If ``predict`` raises one or returns another shape, the fold is re-run
     one point at a time (``predict([point])``), and only the points whose
     call raises or does not return one row score +inf; they are not asked
-    for again.  Other exceptions propagate.  Ties go to the first point.
+    for again.  ``failed_points`` counts the points scored +inf this way.
+    Other exceptions propagate.  Ties go to the first point.
     """
     X = np.asarray(X, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
@@ -193,7 +201,7 @@ def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> C
     # The first of equal means wins; a NaN mean never does, and point 0 is
     # kept when no mean is finite.
     best = int(np.argmin(np.where(np.isnan(means), math.inf, means)))
-    return CVResult(dict(table[best][0]), table, seed)
+    return CVResult(dict(table[best][0]), table, seed, int(np.count_nonzero(~alive)))
 
 
 # Default search grids.  KRR shrink: 50 log-spaced points spanning [1e-4, 1e2].

@@ -11,6 +11,14 @@ factorization itself, for bit-identical results.  The factor step
 (:func:`factor_spd`) and the solve step (:func:`solve_factored`) are also
 separate, so a system that stays fixed across the sweeps of a fit is
 factored once; :func:`solve_spd` composes the two.
+
+Importing ``scipy.linalg`` takes about 0.3 s, most of the cost of
+``import affinetl``, so the module does not import it when it loads:
+``dpotrf`` and ``dpotrs`` are bound from ``scipy.linalg.lapack`` by the
+first :func:`factor_spd` call of the process, and each later call pays
+only a check of the module global.  ``import affinetl``, ``affinetl synth``
+and ``affinetl --help`` never load scipy; a command that builds a Gram or
+solves a system pays the import at its first call, as it did before.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "SingularSystemError",
@@ -31,6 +38,18 @@ __all__ = [
 
 _JITTER_ESCALATIONS = 3
 _NON_FINITE = "matrix to factor has a non-finite entry"
+
+
+# LAPACK's Cholesky factor and solve, bound by _bind_lapack.
+dpotrf = dpotrs = None
+
+
+def _bind_lapack() -> None:
+    """Bind ``dpotrf``/``dpotrs`` from ``scipy.linalg.lapack``."""
+    global dpotrf, dpotrs
+    from scipy.linalg import lapack
+
+    dpotrf, dpotrs = lapack.dpotrf, lapack.dpotrs
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -55,6 +74,8 @@ def factor_spd(A, info: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     infinity in its lower triangle raises a ValueError instead of giving a
     NaN factor: OpenBLAS's ``dpotrf`` can report success on one.
     """
+    if dpotrf is None:
+        _bind_lapack()
     A = _sym(A)
     n = A.shape[0]
     jitter = base = 0.0

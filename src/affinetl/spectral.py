@@ -50,11 +50,16 @@ class DecayEstimate:
 
 @dataclass(frozen=True)
 class OverlapRow:
+    """One repeat's three decay rates, each with its ``floor_applied`` flag."""
+
     d: int
     repeat: int
     s2: float
     s3: float
     s_hadamard: float
+    s2_floored: bool
+    s3_floored: bool
+    s_hadamard_floored: bool
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,7 @@ def run_overlap_experiment(cfg: OverlapExperimentConfig) -> list[OverlapRow]:
         n = cfg.n_samples
         K2 = gram(cfg.spec2, Fs) / n
         K3 = gram(cfg.spec3, X) / n
-        rows.append(
-            OverlapRow(cfg.d, r, decay_rate(K2).s, decay_rate(K3).s, decay_rate(K2 * K3).s)
-        )
+        e2, e3, eh = decay_rate(K2), decay_rate(K3), decay_rate(K2 * K3)
+        rows.append(OverlapRow(cfg.d, r, e2.s, e3.s, eh.s,
+                               e2.floor_applied, e3.floor_applied, eh.floor_applied))
     return rows

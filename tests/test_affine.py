@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from affinetl.affine import (
     _RATIO_GUARD,
@@ -18,7 +21,7 @@ from affinetl.kernels import KernelSpec, gram
 from affinetl.model_selection import AFFINE_FULL_GRID, rmse
 from affinetl.solvers import ridge_solve
 
-from conftest import fd_gradient, numeric_quadratic_argmin
+from conftest import fd_gradient, numeric_quadratic_argmin, quarters, same_examples
 
 SPECS = (KernelSpec("rbf", 1.2), KernelSpec("rbf", 1.2), KernelSpec("rbf", 1.5))
 
@@ -553,3 +556,56 @@ class TestDescentProperty:
                 f_new = objective(*state, K1, K2, K3, y, cfg)
                 assert f_new <= f_prev + 1e-12 * (1 + abs(f_prev))
                 f_prev = f_new
+
+
+# Fresh rows to predict at, in the (x, fs) dimensions of the draws below.
+NEW_X = np.array([[0.0, 0.0], [1.5, -2.0], [-4.0, 3.25]])
+NEW_FS = np.array([[0.0], [2.5], [-1.75]])
+lambda_triples = st.tuples(*[st.sampled_from([1e-3, 0.1, 10.0])] * 3)
+
+
+def check_every_variant_fits(X, Fs, y, lambdas):
+    """Each variant returns finite predictions at fresh rows and a
+    nonincreasing trace; a fit says it converged exactly when its last
+    update ratio is below tol, and otherwise it ran to max_iter."""
+    for variant in ("full", "full_with_intercept", "constrained"):
+        config = FitConfig(*lambdas, variant=variant, max_iter=200)
+        model, trace = fit(config, X, Fs, y, SPECS)
+        assert np.all(np.isfinite(predict(model, NEW_X, NEW_FS)))
+        obj = np.array(trace.objectives)
+        assert np.all(np.diff(obj) <= 1e-12 * (1.0 + np.abs(obj[:-1])))
+        assert trace.converged == (trace.final_update_ratio < config.tol)
+        assert trace.converged or trace.iterations == config.max_iter
+
+
+class TestDegenerateInputs:
+    """Property tests: ``fit`` on degenerate data still gives a finite
+    model and an honest trace, in all three variants."""
+
+    @same_examples
+    @given(X=arrays(float, (4, 2), elements=quarters),
+           Fs=arrays(float, (4, 1), elements=quarters),
+           rows=st.lists(st.integers(0, 3), min_size=3, max_size=8),
+           y=arrays(float, 9, elements=quarters), lambdas=lambda_triples)
+    def test_duplicate_rows(self, X, Fs, rows, y, lambdas):
+        rows = rows + rows[:1]  # at least one row appears twice
+        check_every_variant_fits(X[rows], Fs[rows], y[: len(rows)], lambdas)
+
+    @same_examples
+    @given(X=arrays(float, (6, 2), elements=quarters), value=quarters,
+           y=arrays(float, 6, elements=quarters), lambdas=lambda_triples)
+    def test_constant_fs(self, X, value, y, lambdas):
+        check_every_variant_fits(X, np.full((6, 1), value), y, lambdas)
+
+    @same_examples
+    @given(X=arrays(float, (2, 2), elements=quarters),
+           Fs=arrays(float, (2, 1), elements=quarters),
+           y=arrays(float, 2, elements=quarters), lambdas=lambda_triples)
+    def test_two_rows(self, X, Fs, y, lambdas):
+        check_every_variant_fits(X, Fs, y, lambdas)
+
+    @same_examples
+    @given(X=arrays(float, (6, 2), elements=quarters),
+           Fs=arrays(float, (6, 1), elements=quarters), lambdas=lambda_triples)
+    def test_zero_target(self, X, Fs, lambdas):
+        check_every_variant_fits(X, Fs, np.zeros(6), lambdas)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from affinetl.affine import FitConfig, update_block
 from affinetl.baselines import KINDS, fit_baseline, predict_baseline
 from affinetl.kernels import KernelSpec, gram
+
+from conftest import quarters, same_examples
 
 
 def make_data(rng, n=12, dim_x=3, dim_fs=2):
@@ -151,3 +156,72 @@ class TestPredictBaseline:
         model = fit_baseline("direct", X, Fs, y, SPEC_X, 0.1)
         with pytest.raises(ValueError):
             predict_baseline(model, np.ones((3, 4)), np.ones((3, 2)))
+
+
+# Fresh rows to predict at, in the (x, fs) dimensions of the draws below.
+NEW_X = np.array([[0.0, 0.0], [1.5, -2.0], [-4.0, 3.25]])
+NEW_FS = np.array([[0.0], [2.5], [-1.75]])
+shrinks = st.sampled_from([1e-4, 0.1, 100.0])
+
+
+def check_every_kind_fits(X, Fs, y, shrink):
+    """Each procedure returns finite predictions at fresh rows; htl_scale
+    may instead refuse, with a ZeroDivisionError, a stage-1 prediction
+    within its guard of zero, and only then."""
+    for kind in KINDS:
+        try:
+            model = fit_baseline(kind, X, Fs, y, SPEC_FS, shrink,
+                                 stage2_spec=SPEC_X, stage2_shrink=shrink)
+        except ZeroDivisionError as exc:
+            assert kind == "htl_scale" and "stage-1 prediction within" in str(exc)
+            g1 = predict_baseline(fit_baseline("only_source", X, Fs, y, SPEC_FS, shrink), X, Fs)
+            assert np.min(np.abs(g1)) < 1e-8
+            continue
+        assert np.all(np.isfinite(predict_baseline(model, NEW_X, NEW_FS)))
+        if kind == "htl_scale":
+            assert np.min(np.abs(model.stage1.predict(Fs))) >= 1e-8
+
+
+class TestDegenerateInputs:
+    """Property tests: the five procedures on degenerate data give a finite
+    model or htl_scale's specific error."""
+
+    @same_examples
+    @given(X=arrays(float, (4, 2), elements=quarters),
+           Fs=arrays(float, (4, 1), elements=quarters),
+           rows=st.lists(st.integers(0, 3), min_size=3, max_size=8),
+           y=arrays(float, 9, elements=quarters), shrink=shrinks)
+    def test_duplicate_rows(self, X, Fs, rows, y, shrink):
+        rows = rows + rows[:1]  # at least one row appears twice
+        check_every_kind_fits(X[rows], Fs[rows], y[: len(rows)], shrink)
+
+    @same_examples
+    @given(X=arrays(float, (6, 2), elements=quarters), value=quarters,
+           y=arrays(float, 6, elements=quarters), shrink=shrinks)
+    def test_constant_fs(self, X, value, y, shrink):
+        check_every_kind_fits(X, np.full((6, 1), value), y, shrink)
+
+    @same_examples
+    @given(X=arrays(float, (2, 2), elements=quarters),
+           Fs=arrays(float, (2, 1), elements=quarters),
+           y=arrays(float, 2, elements=quarters), shrink=shrinks)
+    def test_two_rows(self, X, Fs, y, shrink):
+        check_every_kind_fits(X, Fs, y, shrink)
+
+    @same_examples
+    @given(X=arrays(float, (6, 2), elements=quarters),
+           Fs=arrays(float, (6, 1), elements=quarters), shrink=shrinks)
+    def test_zero_target(self, X, Fs, shrink):
+        # a zero stage-1 fit leaves htl_scale nothing to divide by
+        with pytest.raises(ZeroDivisionError, match="stage-1 prediction within"):
+            fit_baseline("htl_scale", X, Fs, np.zeros(6), SPEC_FS, shrink,
+                         stage2_spec=SPEC_X, stage2_shrink=shrink)
+        check_every_kind_fits(X, Fs, np.zeros(6), shrink)
+
+    @same_examples
+    @given(X=arrays(float, (6, 2), elements=quarters),
+           Fs=arrays(float, (6, 1), elements=quarters),
+           y=arrays(float, 6, elements=quarters),
+           scale=st.sampled_from([1e-12, 1e-9, 1e-7, 1e-4]), shrink=shrinks)
+    def test_stage_one_prediction_near_zero(self, X, Fs, y, scale, shrink):
+        check_every_kind_fits(X, Fs, scale * y, shrink)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,7 +30,7 @@ from affinetl.model_selection import (
 )
 from affinetl.solvers import penalized_ls
 
-from conftest import fd_gradient, numeric_quadratic_argmin
+from conftest import fd_gradient, numeric_quadratic_argmin, quarters, same_examples
 
 SMALL = BlockLayout((("b0", 3), ("b1", 3)))
 
@@ -465,15 +465,6 @@ class TestFitCalibration:
         arrays[name][row] = value
         with pytest.raises(ValueError, match=f"non-finite value in {name} at row {row}"):
             fit_calibration(X, fs, y, 0.1, 0.1, layout=SMALL)
-
-
-# Quarter steps keep the draws well conditioned (a non-constant fs varies by
-# at least 0.25), so only the structure of the data is degenerate.
-quarters = st.integers(-20, 20).map(lambda k: k / 4)
-
-
-# Reruns draw the same examples.
-same_examples = settings(derandomize=True, deadline=None, max_examples=50)
 
 
 def vectors(n):

@@ -233,7 +233,8 @@ class TestSpectralCommand:
                      "--out", str(out)])
         assert code == 0
         header, rows = read_table(out)
-        assert header == ["d", "repeat", "s2", "s3", "s_hadamard"]
+        assert header == ["d", "repeat", "s2", "s3", "s_hadamard",
+                          "s2_floored", "s3_floored", "s_hadamard_floored"]
         assert len(rows) == 3 * 5  # repeats * (n_bases + 1)
         for row in rows:
             assert 0.01 <= float(row[4]) <= 1.0
@@ -253,7 +254,8 @@ class TestSpectralCommand:
         _, rows = read_table(out)
         spec = KernelSpec("rbf", math.sqrt(10.0))
         want = [
-            [str(row.d), str(row.repeat), *("%.17g" % v for v in (row.s2, row.s3, row.s_hadamard))]
+            [str(row.d), str(row.repeat), *("%.17g" % v for v in (row.s2, row.s3, row.s_hadamard)),
+             str(row.s2_floored), str(row.s3_floored), str(row.s_hadamard_floored)]
             for d in range(5)
             for row in run_overlap_experiment(OverlapExperimentConfig(
                 d=d, ambient_dim=20, n_bases=4, n_samples=10, repeats=2,
@@ -374,15 +376,38 @@ class TestCalibrateCommand:
         assert np.mean(by_model["olr"]) > max(full, diff)
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
+SCIPY_MODULES = "[m for m in sys.modules if m.startswith('scipy')]"
+
+
+def test_cli_import_loads_no_scipy():
     # the package's import time is measured by the benchmark's setup probe;
-    # kernels defers scipy.spatial to the first distance computation
+    # kernels defers scipy.spatial to the first distance computation and
+    # solvers binds LAPACK from scipy.linalg at the first factorization
     src = str(Path(affinetl.__file__).resolve().parent.parent)
     probe = "import sys; sys.path.insert(0, sys.argv[1]); import affinetl, affinetl.cli; " \
-            "print('scipy.spatial' in sys.modules)"
+            f"print({SCIPY_MODULES})"
     done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
                           timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_synth_and_help_load_no_scipy(tmp_path):
+    src = str(Path(affinetl.__file__).resolve().parent.parent)
+    out = tmp_path / "cal.csv"
+    probe = f"""
+import sys
+sys.path.insert(0, sys.argv[1])
+from affinetl.cli import main
+code = main(["synth", "--kind", "calibration", "--n", "15", "--seed", "1", "--out", sys.argv[2]])
+try:
+    main(["--help"])
+except SystemExit as stop:
+    print(code, stop.code, {SCIPY_MODULES})
+"""
+    done = subprocess.run([sys.executable, "-c", probe, src, str(out)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 0 []"
+    assert load_csv(out).y.shape == (15,)
 
 
 def test_calibrate_leaves_scipy_optimize_unloaded(tmp_path):

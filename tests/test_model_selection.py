@@ -168,6 +168,34 @@ class TestGridSearchCV:
         res = grid_search_cv(flaky_fitter, Grid(shrink=[1e-3, 0.5]), X, Fs, y, k=3, seed=3)
         assert res.table[0][1] == math.inf
         assert res.best_params == {"shrink": 0.5}
+        assert res.failed_points == 1
+
+    def test_failed_points_counted_apart_from_bad_scores(self):
+        # one point raises, one predicts +inf: both mean +inf, one failed
+        rng = np.random.default_rng(9)
+        X, Fs, y = self.make_linear_data(rng, n=15)
+
+        def fitter(Xtr, Fstr, ytr, Xt, Ft):
+            predict = linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+
+            def predict_some(points):
+                if any(params["shrink"] == 1e-3 for params in points):
+                    raise ZeroDivisionError("boom")
+                rows = predict(points)
+                rows[[params["shrink"] == 2.0 for params in points]] = math.inf
+                return rows
+
+            return predict_some
+
+        res = grid_search_cv(fitter, Grid(shrink=[1e-3, 0.5, 2.0]), X, Fs, y, k=3, seed=3)
+        assert [mean for _, mean, _ in res.table][::2] == [math.inf, math.inf]
+        assert res.table[0][2] == [] and res.table[2][2] == [math.inf] * 3
+        assert res.failed_points == 1
+        assert res.best_params == {"shrink": 0.5}
+        assert grid_search_cv(linear_fitter, Grid(shrink=[0.5]), X, Fs, y, k=3).failed_points == 0
+
+    def test_positional_construction_counts_no_failures(self):
+        assert CVResult({"shrink": 1.0}, [], 3).failed_points == 0
 
     def test_failing_fold_scores_every_point_infinity(self):
         rng = np.random.default_rng(9)
@@ -184,6 +212,7 @@ class TestGridSearchCV:
                              X, Fs, y, k=3, seed=3)
         assert all(mean == math.inf and rmses == [] for _, mean, rmses in res.table)
         assert res.best_params == {"shrink": 1e-3}
+        assert res.failed_points == 3
 
     @pytest.mark.parametrize("where", ["fitter", "predict"])
     def test_other_exceptions_propagate(self, where):
@@ -212,6 +241,7 @@ class TestGridSearchCV:
 
         res = grid_search_cv(singular_fitter, Grid(shrink=[1e-3, 0.5]), X, Fs, y, k=3, seed=3)
         assert [mean for _, mean, _ in res.table] == [math.inf, math.inf]
+        assert res.failed_points == 2
 
     def test_fitter_called_once_per_fold(self):
         rng = np.random.default_rng(11)

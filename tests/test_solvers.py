@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -124,6 +129,19 @@ class TestNonFiniteMatrix:
         info = {}
         factor_spd(np.ones((3, 3)), info=info)
         assert info["jitter"] > 0 and len(factor_sizes) == 2
+
+
+def test_factor_sizes_records_when_run_first_in_a_process():
+    # solvers binds dpotrf at the first factorization, so the fixture binds
+    # it before wrapping it; a test that a fresh process runs first must
+    # still see every call
+    src = str(Path(solvers.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    test = f"{__file__}::TestNonFiniteMatrix::test_finite_singular_matrix_still_gets_jitter"
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestRidgeSolve:

@@ -254,3 +254,19 @@ class TestOverlapExperiment:
         K2 = gram(spec, Fs) / 10
         K3 = gram(spec, X) / 10
         assert row.s_hadamard == decay_rate(K2 * K3).s
+
+    def test_rows_carry_the_floor_flags(self):
+        # a linear kernel with a huge length-scale gives a Gram of ones up to
+        # 1e-12 relative, which has no binding index, so its rate is floored
+        cfg = OverlapExperimentConfig(d=2, ambient_dim=20, n_bases=5, n_samples=10,
+                                      repeats=2, spec2=KernelSpec("linear", 1e6), seed=15)
+        rows = run_overlap_experiment(cfg)
+        for r, row in enumerate(rows):
+            X, Fs = _overlap_coordinates(np.random.default_rng(cfg.seed + r), cfg)
+            K2 = gram(cfg.spec2, Fs) / 10
+            K3 = gram(cfg.spec3, X) / 10
+            estimates = [decay_rate(K) for K in (K2, K3, K2 * K3)]
+            assert (row.s2, row.s3, row.s_hadamard) == tuple(e.s for e in estimates)
+            assert (row.s2_floored, row.s3_floored, row.s_hadamard_floored) == tuple(
+                e.floor_applied for e in estimates)
+            assert row.s2_floored and not row.s3_floored
