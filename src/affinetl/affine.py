@@ -155,10 +155,14 @@ def _fitted_values(a, b, c, d, K1, K2, K3, variant: str) -> np.ndarray:
 def _grams(specs, variant: str, X, Fs, X2=None, Fs2=None):
     """(K1, K2, K3) between the rows of (X, Fs) and those of (X2, Fs2), or
     among the rows of (X, Fs) when those are omitted.  K2 is None for the
-    constrained variant, which never needs g2's Gram."""
+    constrained variant, which never needs g2's Gram, and K1 itself when g1
+    and g2 share a kernel: nothing writes into a Gram."""
     spec1, spec2, spec3 = specs
     K1 = gram(spec1, Fs, Fs2)
-    K2 = None if variant == "constrained" else gram(spec2, Fs, Fs2)
+    if variant == "constrained":
+        K2 = None
+    else:
+        K2 = K1 if spec2 == spec1 else gram(spec2, Fs, Fs2)
     return K1, K2, gram(spec3, X, X2)
 
 

@@ -104,17 +104,17 @@ def length_scales(rule: str, dim_x: int, dim_fs: int) -> dict[str, float]:
     return {"x": ell_x, "fs": ell_fs, "aug": ell_aug, "g3": ell_g3}
 
 
-def _krr_path(spec: KernelSpec, Ztr, Zte, z):
-    """Test predictions of KRR on (Ztr, z) along the shrink path.
+def _krr_path(K, train, test, z):
+    """Test predictions of KRR on the training rows' block of the Gram ``K``
+    and target ``z``, along the shrink path.
 
-    One eigendecomposition K = V diag(mu) V' of the training Gram turns the
-    whole path into one product: returns ``path(shrinks)``, a
-    (len(shrinks), n_test) array whose row for shrink s is
-    K_te,tr V diag(1 / (mu + s)) V' z (Rifkin & Lippert 2007, "Notes on
-    regularized least squares").
+    One eigendecomposition K_tr,tr = V diag(mu) V' turns the whole path into
+    one product: returns ``path(shrinks)``, a (len(shrinks), len(test))
+    array whose row for shrink s is K_te,tr V diag(1 / (mu + s)) V' z
+    (Rifkin & Lippert 2007, "Notes on regularized least squares").
     """
-    mu, V = np.linalg.eigh(gram(spec, Ztr))
-    A = gram(spec, Zte, Ztr) @ V
+    mu, V = np.linalg.eigh(K[np.ix_(train, train)])
+    A = K[np.ix_(test, train)] @ V
     b = V.T @ z
     return lambda shrinks: (b[:, None] / (mu[:, None] + shrinks)).T @ A.T
 
@@ -123,16 +123,15 @@ def _shrinks(points) -> np.ndarray:
     return np.array([params["shrink"] for params in points])
 
 
-def _cv_krr(kind, train: Dataset, folds, seed, spec) -> float:
-    """CV the single shrink of a one-stage baseline; returns best shrink."""
+def _cv_krr(K, y, folds, seed) -> float:
+    """CV the shrink of a one-stage KRR whose Gram on all rows is ``K``;
+    every fold slices its blocks from it.  Returns the best shrink."""
 
-    def fitter(X, Fs, y, Xt, Ft):
-        path = _krr_path(spec, single_stage_inputs(kind, X, Fs),
-                         single_stage_inputs(kind, Xt, Ft), y)
+    def fitter(train, test):
+        path = _krr_path(K, train, test, y[train])
         return lambda points: path(_shrinks(points))
 
-    res = grid_search_cv(fitter, KRR_SHRINK_GRID, train.X, train.Fs, train.y,
-                         k=folds, seed=seed)
+    res = grid_search_cv(fitter, KRR_SHRINK_GRID, y, k=folds, seed=seed)
     return res.best_params["shrink"]
 
 
@@ -141,29 +140,31 @@ def _fit_two_stage(kind, train: Dataset, folds, seed, spec_fs, spec_x):
 
     Stage 1 picks its shrink by CV of the fs -> y regression alone; stage 2
     then CVs the x -> transformed-target regression built on a stage-1 model
-    refit per fold, as ``fit_baseline`` fits it.
+    refit per fold, as ``fit_baseline`` fits it.  Both searches slice one
+    Gram per kernel, built once on all of ``train``.
     """
-    shrink1 = _cv_krr("only_source", train, folds, child_seed(seed, "stage1"), spec_fs)
+    K_fs, K_x, y = gram(spec_fs, train.Fs), gram(spec_x, train.X), train.y
+    shrink1 = _cv_krr(K_fs, y, folds, child_seed(seed, "stage1"))
 
-    def fitter(X, Fs, y, Xt, Ft):
-        K1 = gram(spec_fs, Fs)
-        coef = ridge_solve(K1, y, shrink1)
-        g1, g1_test = K1 @ coef, gram(spec_fs, Ft, Fs) @ coef
+    def fitter(tr, te):
+        K1 = K_fs[np.ix_(tr, tr)]
+        coef = ridge_solve(K1, y[tr], shrink1)
+        g1, g1_test = K1 @ coef, K_fs[np.ix_(te, tr)] @ coef
         if kind == "htl_offset":
-            path = _krr_path(spec_x, X, Xt, y - g1)
+            path = _krr_path(K_x, tr, te, y[tr] - g1)
             return lambda points: g1_test + path(_shrinks(points))
-        path = _krr_path(spec_x, X, Xt, scale_target(y, g1))
+        path = _krr_path(K_x, tr, te, scale_target(y[tr], g1))
         return lambda points: g1_test * path(_shrinks(points))
 
-    res = grid_search_cv(fitter, KRR_SHRINK_GRID, train.X, train.Fs, train.y,
-                         k=folds, seed=child_seed(seed, "stage2"))
-    return fit_baseline(kind, train.X, train.Fs, train.y, spec_fs, shrink1,
+    res = grid_search_cv(fitter, KRR_SHRINK_GRID, y, k=folds, seed=child_seed(seed, "stage2"))
+    return fit_baseline(kind, train.X, train.Fs, y, spec_fs, shrink1,
                         stage2_spec=spec_x, stage2_shrink=res.best_params["shrink"])
 
 
 def _fit_affine(variant, train: Dataset, folds, seed, specs, config):
-    """CV over the affine grid, then a refit on all of ``train``.  Each fold
-    builds its Grams and cross-Grams once; every grid point fits on them."""
+    """CV over the affine grid, then a refit on all of ``train``.  The Grams
+    are built once on all of ``train``; each fold slices its Grams and
+    cross-Grams from them, and every grid point fits on those."""
     grid = AFFINE_CONSTRAINED_GRID if variant == "constrained" else AFFINE_FULL_GRID
 
     def make_config(params):
@@ -176,19 +177,20 @@ def _fit_affine(variant, train: Dataset, folds, seed, specs, config):
             scale_convention=config.scale_convention,
         )
 
-    def fitter(X, Fs, y, Xt, Ft):
-        grams = _grams(specs, variant, X, Fs)
-        cross = _grams(specs, variant, Xt, Ft, X, Fs)
+    grams, y = _grams(specs, variant, train.X, train.Fs), train.y
+
+    def fitter(tr, te):
+        fold = [None if K is None else K[np.ix_(tr, tr)] for K in grams]
+        cross = [None if K is None else K[np.ix_(te, tr)] for K in grams]
 
         def predict_point(params):
-            (a, b, c, d), _ = _fit_grams(make_config(params), *grams, y)
+            (a, b, c, d), _ = _fit_grams(make_config(params), *fold, y[tr])
             return _fitted_values(a, b, c, d, *cross, variant)
 
         return pointwise(predict_point)
 
-    res = grid_search_cv(fitter, grid, train.X, train.Fs, train.y,
-                         k=folds, seed=child_seed(seed, "cv"))
-    model, _ = fit(make_config(res.best_params), train.X, train.Fs, train.y, specs)
+    res = grid_search_cv(fitter, grid, y, k=folds, seed=child_seed(seed, "cv"))
+    model, _ = fit(make_config(res.best_params), train.X, train.Fs, y, specs)
     return model
 
 
@@ -200,8 +202,9 @@ def _run_cell(dataset: Dataset, test_pool: Dataset | None, proc: str, n: int,
     train_idx = split_rng.choice(dataset.n, size=n, replace=False)
     train = dataset.subset(train_idx)
     if test_pool is None:
-        rest = np.setdiff1d(np.arange(dataset.n), train_idx)
-        test = dataset.subset(rest)
+        rest = np.ones(dataset.n, dtype=bool)
+        rest[train_idx] = False
+        test = dataset.subset(np.flatnonzero(rest))
     else:
         test = test_pool
     if test.n > config.test_cap:
@@ -219,7 +222,8 @@ def _run_cell(dataset: Dataset, test_pool: Dataset | None, proc: str, n: int,
 
     if proc in ("direct", "only_source", "augmented"):
         spec = {"direct": spec_x, "only_source": spec_fs, "augmented": spec_aug}[proc]
-        shrink = _cv_krr(proc, train, folds, child_seed(seed, "cv"), spec)
+        K = gram(spec, single_stage_inputs(proc, train.X, train.Fs))
+        shrink = _cv_krr(K, train.y, folds, child_seed(seed, "cv"))
         model = fit_baseline(proc, train.X, train.Fs, train.y, spec, shrink)
         yhat = predict_baseline(model, test.X, test.Fs)
     elif proc in ("htl_offset", "htl_scale"):

@@ -313,25 +313,25 @@ def predict_calibration(model: CalibrationModel, X, fs) -> np.ndarray:
     return model.alpha0 + model.alpha1 * fs - (model.beta * fs + 1.0) * (X @ model.gamma)
 
 
-def _log_difference_fold_fitter(layout: BlockLayout):
-    """Fold-level fitter for ``grid_search_cv`` that scores the residual
-    model at every (l1, l2) by one n x n dual solve,
+def _log_difference_fold_fitter(layout: BlockLayout, X, fs, y):
+    """Fold-level fitter for ``grid_search_cv`` on the rows of (X, fs, y)
+    that scores the residual model at every (l1, l2) by one n x n dual solve,
 
         gamma = V D^{-1} V'X' (X V D^{-1} V'X' + I)^{-1} (y - fs),  D = l1 + l2 mu,
 
-    the same minimizer as :func:`fit_log_difference`; X V and X_test V are
-    formed once per fold."""
+    the same minimizer as :func:`fit_log_difference`; X V is formed once,
+    and each fold takes its training and test rows from it."""
     mu, V = _laplacian_eigenbasis(layout)
+    XV, z = X @ V, y - fs
 
-    def fitter(X, Fs, y, Xt, Ft):
-        XV, XtV = X @ V, Xt @ V
-        z = y - Fs[:, 0]
-        eye = np.eye(z.shape[0])
+    def fitter(train, test):
+        XVtr, XVte = XV[train], XV[test]
+        eye = np.eye(train.size)
 
         def predict_point(params):
-            XVd = XV / (params["l1"] + params["l2"] * mu)
-            theta = solve_spd(XVd @ XV.T + eye, z)
-            return Ft[:, 0] + XtV @ (XVd.T @ theta)
+            XVd = XVtr / (params["l1"] + params["l2"] * mu)
+            theta = solve_spd(XVd @ XVtr.T + eye, z[train])
+            return fs[test] + XVte @ (XVd.T @ theta)
 
         return pointwise(predict_point)
 
@@ -388,23 +388,24 @@ def run_calibration_experiment(ds: Dataset, seed: int, splits: int = 20,
         a0, a1 = fit_olr(fs_tr, train.y)
         rows.append(("olr", split, rmse(a0 + a1 * fs_te, test.y)))
 
-        cv = grid_search_cv(_log_difference_fold_fitter(layout), grid,
-                            train.X, train.Fs, train.y,
-                            k=cv_folds, seed=child_seed(seed, "calibration-cv", split))
+        cv = grid_search_cv(_log_difference_fold_fitter(layout, train.X, fs_tr, train.y),
+                            grid, train.y, k=cv_folds,
+                            seed=child_seed(seed, "calibration-cv", split))
         l1, l2 = cv.best_params["l1"], cv.best_params["l2"]
         gamma_diff = fit_log_difference(train.X, fs_tr, train.y, l1, l2, layout)
         rows.append(("log_difference", split, rmse(fs_te + test.X @ gamma_diff, test.y)))
 
         if full_cv:
-            def full_fitter(X, Fs, y, Xt, Ft):
+            def full_fitter(tr, te):
                 def predict_point(params):
-                    model, _ = _fit_full(X, Fs[:, 0], y, params, l_beta, layout)
-                    return predict_calibration(model, Xt, Ft[:, 0])
+                    model, _ = _fit_full(train.X[tr], fs_tr[tr], train.y[tr], params,
+                                         l_beta, layout)
+                    return predict_calibration(model, train.X[te], fs_tr[te])
 
                 return pointwise(predict_point)
 
-            cv = grid_search_cv(full_fitter, grid, train.X, train.Fs, train.y,
-                                k=cv_folds, seed=child_seed(seed, "calibration-cv-full", split))
+            cv = grid_search_cv(full_fitter, grid, train.y, k=cv_folds,
+                                seed=child_seed(seed, "calibration-cv-full", split))
         model, trace = _fit_full(train.X, fs_tr, train.y, cv.best_params, l_beta, layout)
         rows.append(("full", split, rmse(predict_calibration(model, test.X, fs_te), test.y)))
         gammas.append(model.gamma)

@@ -127,7 +127,8 @@ def rmse(yhat, y) -> float:
 
 def pointwise(predict_point):
     """A batch ``predict(points)`` for :func:`grid_search_cv` from a one-point
-    ``predict_point(params) -> yhat_test``: the rows, stacked in order."""
+    ``predict_point(params) -> yhat_test``, the predictions at the fold's
+    test rows: the rows, stacked in order."""
     return lambda points: np.stack([predict_point(params) for params in points])
 
 
@@ -144,18 +145,20 @@ def _predictions(predict, points, n_test: int):
     return rows if rows.shape == (len(points), n_test) else None
 
 
-def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> CVResult:
+def grid_search_cv(fitter, grid: Grid, y, k: int = 5, seed: int = 0) -> CVResult:
     """Evaluate every grid point by k-fold CV and pick the best mean RMSE.
 
-    The search is fold-major: ``fitter(X_train, Fs_train, y_train, X_test,
-    Fs_test)`` is called once per fold, does the work that every grid point
-    shares there, and returns ``predict(points)``.  Given a list of grid
-    points it returns one ``(len(points), n_test)`` array of test
-    predictions, one row per point in order (:func:`pointwise` builds it
-    from a one-point function).  Both must be deterministic given their
-    inputs.  All grid points share one fold split; each fold is one
-    ``predict`` call over the points still scoring, its rows are scored with
-    one vectorized RMSE, and the folds are averaged with one array mean.
+    The search is fold-major: ``fitter(train, test)`` is called once per
+    fold with the fold's training and test row indices into ``y``.  It
+    slices what it needs from data it holds, such as a Gram built once on
+    all rows, does the work that every grid point shares there, and returns
+    ``predict(points)``.  Given a list of grid points it returns one
+    ``(len(points), len(test))`` array of predictions at the test rows, one
+    row per point in order (:func:`pointwise` builds it from a one-point
+    function).  Both must be deterministic given their inputs.  All grid
+    points share one fold split; each fold is one ``predict`` call over the
+    points still scoring, its rows are scored against ``y[test]`` with one
+    vectorized RMSE, and the folds are averaged with one array mean.
 
     If the fold call raises one of ``FIT_ERRORS``, every point scores +inf.
     If ``predict`` raises one or returns another shape, the fold is re-run
@@ -164,8 +167,6 @@ def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> C
     for again.  ``failed_points`` counts the points scored +inf this way.
     Other exceptions propagate.  Ties go to the first point.
     """
-    X = np.asarray(X, dtype=float)
-    Fs = np.asarray(Fs, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     folds = kfold_split(y.shape[0], k, seed)
     points = list(grid.points())
@@ -173,7 +174,7 @@ def grid_search_cv(fitter, grid: Grid, X, Fs, y, k: int = 5, seed: int = 0) -> C
     alive = np.ones(len(points), dtype=bool)
     for j, (train, test) in enumerate(folds):
         try:
-            predict = fitter(X[train], Fs[train], y[train], X[test], Fs[test])
+            predict = fitter(train, test)
         except FIT_ERRORS:
             alive[:] = False
             break

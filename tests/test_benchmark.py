@@ -6,7 +6,7 @@ import pytest
 
 from affinetl import benchmark
 from affinetl.affine import FitConfig, fit, predict
-from affinetl.baselines import fit_baseline, predict_baseline
+from affinetl.baselines import fit_baseline, predict_baseline, single_stage_inputs
 from affinetl.benchmark import (
     BenchmarkConfig,
     aggregate_rows,
@@ -135,24 +135,47 @@ class TestRunBenchmark:
         assert all(np.isfinite(r[3]) and r[3] < 5.0 for r in report.rows)
 
     def test_affine_const_cell_builds_no_g2_gram(self, monkeypatch):
-        # 5 folds x (2 training Grams + 2 cross-Grams), shared by the 16 grid
-        # points, plus the final fit and test prediction (2 + 2); building
-        # g2's Grams too would make 5 x 6 + 6 = 36
-        from affinetl import affine
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return gram(*args, **kwargs)
-
-        monkeypatch.setattr(affine, "gram", counted)
+        # 2 Grams on the cell's training rows, which the 5 folds slice, plus
+        # the final fit and test prediction (2 + 2); building g2's Grams too
+        # would make 3 + 3 + 3 = 9
+        calls = count_gram_calls(monkeypatch)
         ds = synth_dataset("offset_transfer", 300, dims=3, noise_sd=0.05, seed=7)
         config = BenchmarkConfig(seed=11, procedures=("affine_const",), train_sizes=(50,),
                                  repeats=1)
         report = run_benchmark(ds, config)
         assert report.failures == 0
-        assert len(calls) == 24
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("proc, grams, searches", [
+        # one Gram on the training rows; the refit and the test prediction
+        ("direct", 3, 1),
+        # one Gram per kernel; the two-stage refit (stage 1, its fitted
+        # values, stage 2) and the two-stage test prediction
+        ("htl_offset", 7, 2),
+    ])
+    def test_cell_builds_its_grams_once_whatever_the_folds(self, monkeypatch, proc, grams,
+                                                            searches):
+        calls = count_gram_calls(monkeypatch)
+        fitter_calls = []
+        original = benchmark.grid_search_cv
+
+        def recording(fitter, *args, **kwargs):
+            def counted(train, test):
+                fitter_calls.append((len(train), len(test)))
+                return fitter(train, test)
+
+            return original(counted, *args, **kwargs)
+
+        monkeypatch.setattr(benchmark, "grid_search_cv", recording)
+        ds = synth_dataset("offset_transfer", 300, dims=3, noise_sd=0.05, seed=7)
+        for folds in (3, 5):
+            calls.clear()
+            fitter_calls.clear()
+            config = BenchmarkConfig(seed=11, procedures=(proc,), train_sizes=(30,),
+                                     repeats=1, cv_folds=folds)
+            assert run_benchmark(ds, config).failures == 0
+            assert len(calls) == grams, folds
+            assert fitter_calls == [(30 - 30 // folds, 30 // folds)] * (folds * searches)
 
     def test_failed_cell_recorded_as_nan(self, capsys):
         ds = self.make_dataset()
@@ -213,6 +236,21 @@ class TestRunBenchmark:
         report = run_benchmark(ds, config)
         assert threads == [threading.get_ident()] * 4
         assert report.rows == plain.rows
+
+
+def count_gram_calls(monkeypatch) -> list:
+    """The specs of every ``gram`` call the benchmark's modules make."""
+    from affinetl import affine, baselines
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return gram(*args, **kwargs)
+
+    for module in (affine, baselines, benchmark):
+        monkeypatch.setattr(module, "gram", counted)
+    return calls
 
 
 def per_point_cv_means(fit_point, X, Fs, y, k, seed):
@@ -280,7 +318,8 @@ class TestFoldLevelKRR:
             train = ds.subset(rows)
             seed = child_seed(5, kind, n)
             searches = self.record_searches(monkeypatch)
-            shrink = benchmark._cv_krr(kind, train, 5, seed, spec)
+            K = gram(spec, single_stage_inputs(kind, train.X, train.Fs))
+            shrink = benchmark._cv_krr(K, train.y, 5, seed)
             want = per_point_cv_means(
                 lambda s, X, Fs, y: fit_baseline(kind, X, Fs, y, spec, s),
                 train.X, train.Fs, train.y, 5, seed)
@@ -340,7 +379,8 @@ class TestFoldLevelKRR:
         mu, V = np.linalg.eigh(gram(spec, Ztr))
         A, b = gram(spec, Zte, Ztr) @ V, V.T @ z
         shrinks = np.asarray(KRR_SHRINK_GRID.params["shrink"])
-        path = benchmark._krr_path(spec, Ztr, Zte, z)
+        path = benchmark._krr_path(gram(spec, Z), np.arange(n_train),
+                                   np.arange(n_train, n_train + n_test), z)
         rows = path(shrinks)
         assert rows.shape == (len(shrinks), n_test) and rows.flags.c_contiguous
         for s, row in zip(shrinks, rows):

@@ -351,13 +351,14 @@ class TestDualGammaStep:
             fit_calibration(X, fs, y, l1=l1, l2=1.0, layout=SMALL)
 
 
-def primal_residual_fitter(layout):
+def primal_residual_fitter(layout, X, fs, y):
     """Per-point residual-model search: one p x p fit_log_difference per
     (fold, grid point) (test oracle for the dual fold fitter)."""
-    def fitter(X, Fs, y, Xt, Ft):
+    def fitter(train, test):
         def predict_point(params):
-            gamma = fit_log_difference(X, Fs[:, 0], y, params["l1"], params["l2"], layout)
-            return Ft[:, 0] + Xt @ gamma
+            gamma = fit_log_difference(X[train], fs[train], y[train], params["l1"],
+                                       params["l2"], layout)
+            return fs[test] + X[test] @ gamma
 
         return pointwise(predict_point)
 
@@ -371,11 +372,12 @@ class TestResidualModelCV:
         layout = ds.metadata["layout"]
         perm = np.random.default_rng(child_seed(seed, "calibration", 0)).permutation(ds.n)
         train = ds.subset(perm[:train_size])
-        args = (CALIBRATION_GRID, train.X, train.Fs, train.y)
+        data = (train.X, train.Fs[:, 0], train.y)
         cv_seed = child_seed(seed, "calibration-cv", 0)
-        got = grid_search_cv(calibration._log_difference_fold_fitter(layout), *args,
-                             k=5, seed=cv_seed)
-        want = grid_search_cv(primal_residual_fitter(layout), *args, k=5, seed=cv_seed)
+        got = grid_search_cv(calibration._log_difference_fold_fitter(layout, *data),
+                             CALIBRATION_GRID, train.y, k=5, seed=cv_seed)
+        want = grid_search_cv(primal_residual_fitter(layout, *data),
+                              CALIBRATION_GRID, train.y, k=5, seed=cv_seed)
         assert got.best_params == want.best_params
         means = np.array([[g[1], w[1]] for g, w in zip(got.table, want.table)])
         assert np.all(np.isfinite(means))

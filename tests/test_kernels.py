@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn, kv
 
 from affinetl.kernels import KernelSpec, _distances, eval_kernel, gram
+from affinetl.model_selection import kfold_split
+
+from conftest import same_examples
 
 
 def bessel_matern(nu, r, ell):
@@ -156,6 +161,42 @@ class TestGram:
             for n in (5, 20, 50):
                 K = gram(spec, rng.normal(size=(n, 4)))
                 assert np.linalg.eigvalsh(K)[0] >= -1e-8
+
+
+class TestFoldBlocks:
+    """A CV cell builds one Gram on all its rows and every fold slices its
+    training Gram and cross-Gram from it.  The slices must be the Grams a
+    fold would build from its own rows: bit for bit for the distance
+    kernels, whose entries are each computed from one pair of rows, and to
+    rounding for ``linear``, whose Gram comes from a matrix product."""
+
+    DISTANCE = (("rbf", None), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5),
+                ("matern", math.inf))
+
+    @same_examples
+    @given(n=st.integers(2, 80), d=st.integers(1, 15), k=st.integers(2, 5),
+           scale=st.sampled_from([1e-3, 1.0, 30.0]), width=st.sampled_from([0.3, 1.0, 3.0]),
+           copies=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 79)), max_size=10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fold_blocks_equal_fold_grams(self, n, d, k, scale, width, copies, seed):
+        rng = np.random.default_rng(seed)
+        X = scale * rng.normal(size=(n, d))
+        for src, dst in copies:  # duplicate rows
+            X[dst % n] = X[src % n]
+        ell = width * scale * math.sqrt(d)
+        folds = kfold_split(n, min(k, n), seed)
+        for family, nu in self.DISTANCE:
+            spec = KernelSpec(family, ell, nu=nu)
+            K = gram(spec, X)
+            for tr, te in folds:
+                assert np.array_equal(K[np.ix_(tr, tr)], gram(spec, X[tr]))
+                assert np.array_equal(K[np.ix_(te, tr)], gram(spec, X[te], X[tr]))
+        spec = KernelSpec("linear", ell)
+        K = gram(spec, X)
+        for tr, te in folds:
+            for block, fold in ((K[np.ix_(tr, tr)], gram(spec, X[tr])),
+                                (K[np.ix_(te, tr)], gram(spec, X[te], X[tr]))):
+                assert np.max(np.abs(block - fold)) <= 1e-10 * np.max(np.abs(fold))
 
 
 

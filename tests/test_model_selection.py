@@ -105,14 +105,18 @@ class TestGrid:
         assert len(AFFINE_FULL_GRID) == 64
 
 
-def linear_fitter(X, Fs, y, Xt, Ft):
+def linear_fitter(X, Fs, y):
+    """A fitter over the rows of (X, Fs, y): linear-kernel KRR per fold."""
     spec = KernelSpec("linear", 1.0)
 
-    def predict(params):
-        model = fit_baseline("direct", X, Fs, y, spec, params["shrink"])
-        return predict_baseline(model, Xt, Ft)
+    def fitter(train, test):
+        def predict(params):
+            model = fit_baseline("direct", X[train], Fs[train], y[train], spec, params["shrink"])
+            return predict_baseline(model, X[test], Fs[test])
 
-    return pointwise(predict)
+        return pointwise(predict)
+
+    return fitter
 
 
 class TestGridSearchCV:
@@ -125,7 +129,7 @@ class TestGridSearchCV:
     def test_single_point_grid(self):
         rng = np.random.default_rng(6)
         X, Fs, y = self.make_linear_data(rng)
-        res = grid_search_cv(linear_fitter, Grid(shrink=[0.5]), X, Fs, y, k=4, seed=0)
+        res = grid_search_cv(linear_fitter(X, Fs, y), Grid(shrink=[0.5]), y, k=4, seed=0)
         assert res.best_params == {"shrink": 0.5}
         assert isinstance(res, CVResult)
 
@@ -133,11 +137,10 @@ class TestGridSearchCV:
         rng = np.random.default_rng(7)
         X, Fs, y = self.make_linear_data(rng, n=20)
 
-        def constant_fitter(Xtr, Fstr, ytr, Xt, Ft):
-            return lambda points: np.zeros((len(points), len(Xt)))
+        def constant_fitter(train, test):
+            return lambda points: np.zeros((len(points), len(test)))
 
-        res = grid_search_cv(constant_fitter, Grid(shrink=[3.0, 1.0, 2.0]),
-                             X, Fs, y, k=4, seed=1)
+        res = grid_search_cv(constant_fitter, Grid(shrink=[3.0, 1.0, 2.0]), y, k=4, seed=1)
         means = [m for _, m, _ in res.table]
         assert means[0] == means[1] == means[2]
         assert res.best_params == {"shrink": 3.0}
@@ -146,7 +149,7 @@ class TestGridSearchCV:
         rng = np.random.default_rng(8)
         X, Fs, y = self.make_linear_data(rng)
         grid = Grid(shrink=np.logspace(-4, 2, 8))
-        res = grid_search_cv(linear_fitter, grid, X, Fs, y, k=5, seed=2)
+        res = grid_search_cv(linear_fitter(X, Fs, y), grid, y, k=5, seed=2)
         assert res.best_params["shrink"] == pytest.approx(1e-4)
         means = [m for _, m, _ in res.table]
         assert all(m1 <= m2 + 1e-12 for m1, m2 in zip(means, means[1:]))
@@ -155,8 +158,8 @@ class TestGridSearchCV:
         rng = np.random.default_rng(9)
         X, Fs, y = self.make_linear_data(rng, n=15)
 
-        def flaky_fitter(Xtr, Fstr, ytr, Xt, Ft):
-            predict = linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+        def flaky_fitter(train, test):
+            predict = linear_fitter(X, Fs, y)(train, test)
 
             def flaky_predict(points):
                 if any(params["shrink"] < 0.01 for params in points):
@@ -165,7 +168,7 @@ class TestGridSearchCV:
 
             return flaky_predict
 
-        res = grid_search_cv(flaky_fitter, Grid(shrink=[1e-3, 0.5]), X, Fs, y, k=3, seed=3)
+        res = grid_search_cv(flaky_fitter, Grid(shrink=[1e-3, 0.5]), y, k=3, seed=3)
         assert res.table[0][1] == math.inf
         assert res.best_params == {"shrink": 0.5}
         assert res.failed_points == 1
@@ -175,8 +178,8 @@ class TestGridSearchCV:
         rng = np.random.default_rng(9)
         X, Fs, y = self.make_linear_data(rng, n=15)
 
-        def fitter(Xtr, Fstr, ytr, Xt, Ft):
-            predict = linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+        def fitter(train, test):
+            predict = linear_fitter(X, Fs, y)(train, test)
 
             def predict_some(points):
                 if any(params["shrink"] == 1e-3 for params in points):
@@ -187,12 +190,13 @@ class TestGridSearchCV:
 
             return predict_some
 
-        res = grid_search_cv(fitter, Grid(shrink=[1e-3, 0.5, 2.0]), X, Fs, y, k=3, seed=3)
+        res = grid_search_cv(fitter, Grid(shrink=[1e-3, 0.5, 2.0]), y, k=3, seed=3)
         assert [mean for _, mean, _ in res.table][::2] == [math.inf, math.inf]
         assert res.table[0][2] == [] and res.table[2][2] == [math.inf] * 3
         assert res.failed_points == 1
         assert res.best_params == {"shrink": 0.5}
-        assert grid_search_cv(linear_fitter, Grid(shrink=[0.5]), X, Fs, y, k=3).failed_points == 0
+        plain = grid_search_cv(linear_fitter(X, Fs, y), Grid(shrink=[0.5]), y, k=3)
+        assert plain.failed_points == 0
 
     def test_positional_construction_counts_no_failures(self):
         assert CVResult({"shrink": 1.0}, [], 3).failed_points == 0
@@ -202,14 +206,13 @@ class TestGridSearchCV:
         X, Fs, y = self.make_linear_data(rng, n=15)
         calls = []
 
-        def failing_fold_fitter(Xtr, Fstr, ytr, Xt, Ft):
-            calls.append(len(ytr))
+        def failing_fold_fitter(train, test):
+            calls.append(len(train))
             if len(calls) == 2:
                 raise ValueError("boom")
-            return linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+            return linear_fitter(X, Fs, y)(train, test)
 
-        res = grid_search_cv(failing_fold_fitter, Grid(shrink=[1e-3, 0.5, 2.0]),
-                             X, Fs, y, k=3, seed=3)
+        res = grid_search_cv(failing_fold_fitter, Grid(shrink=[1e-3, 0.5, 2.0]), y, k=3, seed=3)
         assert all(mean == math.inf and rmses == [] for _, mean, rmses in res.table)
         assert res.best_params == {"shrink": 1e-3}
         assert res.failed_points == 3
@@ -220,7 +223,7 @@ class TestGridSearchCV:
         rng = np.random.default_rng(9)
         X, Fs, y = self.make_linear_data(rng, n=15)
 
-        def buggy_fitter(Xtr, Fstr, ytr, Xt, Ft):
+        def buggy_fitter(train, test):
             if where == "fitter":
                 raise TypeError("bug")
 
@@ -230,16 +233,16 @@ class TestGridSearchCV:
             return predict
 
         with pytest.raises(TypeError, match="bug"):
-            grid_search_cv(buggy_fitter, Grid(shrink=[1e-3, 0.5]), X, Fs, y, k=3, seed=3)
+            grid_search_cv(buggy_fitter, Grid(shrink=[1e-3, 0.5]), y, k=3, seed=3)
 
     def test_linalg_error_in_a_fold_still_scores_infinity(self):
         rng = np.random.default_rng(9)
         X, Fs, y = self.make_linear_data(rng, n=15)
 
-        def singular_fitter(Xtr, Fstr, ytr, Xt, Ft):
+        def singular_fitter(train, test):
             raise np.linalg.LinAlgError("singular")
 
-        res = grid_search_cv(singular_fitter, Grid(shrink=[1e-3, 0.5]), X, Fs, y, k=3, seed=3)
+        res = grid_search_cv(singular_fitter, Grid(shrink=[1e-3, 0.5]), y, k=3, seed=3)
         assert [mean for _, mean, _ in res.table] == [math.inf, math.inf]
         assert res.failed_points == 2
 
@@ -249,35 +252,35 @@ class TestGridSearchCV:
         folds = kfold_split(20, 4, seed=5)
         seen = []
 
-        def recording_fitter(Xtr, Fstr, ytr, Xt, Ft):
-            seen.append((Xtr, Xt))
-            return linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+        def recording_fitter(train, test):
+            seen.append((train, test))
+            return linear_fitter(X, Fs, y)(train, test)
 
-        res = grid_search_cv(recording_fitter, Grid(shrink=[0.1, 1.0, 10.0]),
-                             X, Fs, y, k=4, seed=5)
+        res = grid_search_cv(recording_fitter, Grid(shrink=[0.1, 1.0, 10.0]), y, k=4, seed=5)
         assert len(seen) == 4
-        for (Xtr, Xt), (tr, te) in zip(seen, folds):
-            assert np.array_equal(Xtr, X[tr]) and np.array_equal(Xt, X[te])
+        for (train, test), (tr, te) in zip(seen, folds):
+            assert np.array_equal(train, tr) and np.array_equal(test, te)
         assert all(len(rmses) == 4 for _, _, rmses in res.table)
 
     def test_value_order_does_not_change_scores(self):
         rng = np.random.default_rng(10)
         X, Fs, y = self.make_linear_data(rng, n=25)
-        r1 = grid_search_cv(linear_fitter, Grid(shrink=[0.1, 1.0, 10.0]), X, Fs, y, k=4, seed=4)
-        r2 = grid_search_cv(linear_fitter, Grid(shrink=[10.0, 0.1, 1.0]), X, Fs, y, k=4, seed=4)
+        fitter = linear_fitter(X, Fs, y)
+        r1 = grid_search_cv(fitter, Grid(shrink=[0.1, 1.0, 10.0]), y, k=4, seed=4)
+        r2 = grid_search_cv(fitter, Grid(shrink=[10.0, 0.1, 1.0]), y, k=4, seed=4)
         as_map1 = {p["shrink"]: m for p, m, _ in r1.table}
         as_map2 = {p["shrink"]: m for p, m, _ in r2.table}
         assert as_map1 == as_map2
 
 
-def per_point_grid_search_cv(fitter, grid, X, Fs, y, k, seed):
+def per_point_grid_search_cv(fitter, grid, y, k, seed):
     """The search scored one ``rmse`` call per (point, fold), each point
     predicted alone as ``predict([point])`` (test oracle)."""
     folds = kfold_split(len(y), k, seed)
     points = list(grid.points())
     scores = [[] for _ in points]
     for train, test in folds:
-        predict_fn = fitter(X[train], Fs[train], y[train], X[test], Fs[test])
+        predict_fn = fitter(train, test)
         for i, params in enumerate(points):
             if scores[i] is None:
                 continue
@@ -301,24 +304,26 @@ class TestStackedScoring:
         # point at a time, the second fold's batch stands
         grid = Grid(p=[0.5, 1.0, 2.0, 3.0, 4.0, 1.5])
 
-        def fitter(Xtr, Fstr, ytr, Xt, Ft):
-            def predict(points):
-                ps = [params["p"] for params in points]
-                if 2.0 in ps:
-                    raise np.linalg.LinAlgError("singular")
-                rows = np.array([np.sin(p * Xt[:, 0]) * 10.0 ** (3 * p - 6) + Ft[:, 0]
-                                 for p in ps])
-                if 3.0 in ps:
-                    return np.hstack([rows, np.zeros((len(ps), 1))])
-                return np.asfortranarray(rows) if 4.0 in ps else rows
-            return predict
+        def fitter_on(X, Fs):
+            def fitter(train, test):
+                def predict(points):
+                    ps = [params["p"] for params in points]
+                    if 2.0 in ps:
+                        raise np.linalg.LinAlgError("singular")
+                    rows = np.array([np.sin(p * X[test, 0]) * 10.0 ** (3 * p - 6) + Fs[test, 0]
+                                     for p in ps])
+                    if 3.0 in ps:
+                        return np.hstack([rows, np.zeros((len(ps), 1))])
+                    return np.asfortranarray(rows) if 4.0 in ps else rows
+                return predict
+            return fitter
 
         rng = np.random.default_rng(13)
         for n_test in range(1, 201):
             n = 2 * n_test
             X, Fs, y = rng.normal(size=(n, 2)), rng.normal(size=(n, 1)), rng.normal(size=n)
-            res = grid_search_cv(fitter, grid, X, Fs, y, k=2, seed=n_test)
-            best, table = per_point_grid_search_cv(fitter, grid, X, Fs, y, 2, n_test)
+            res = grid_search_cv(fitter_on(X, Fs), grid, y, k=2, seed=n_test)
+            best, table = per_point_grid_search_cv(fitter_on(X, Fs), grid, y, 2, n_test)
             assert res.table == table
             assert res.best_params == best
             assert [mean == math.inf for _, mean, _ in table] == [
@@ -336,8 +341,8 @@ class TestBatchFallback:
         X, Fs, y = self.make_data()
         calls = []
 
-        def batch_shy_fitter(Xtr, Fstr, ytr, Xt, Ft):
-            predict = linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+        def batch_shy_fitter(train, test):
+            predict = linear_fitter(X, Fs, y)(train, test)
 
             def shy_predict(points):
                 calls.append([params["shrink"] for params in points])
@@ -349,8 +354,8 @@ class TestBatchFallback:
 
             return shy_predict
 
-        got = grid_search_cv(batch_shy_fitter, grid, X, Fs, y, k=3, seed=6)
-        want = grid_search_cv(linear_fitter, grid, X, Fs, y, k=3, seed=6)
+        got = grid_search_cv(batch_shy_fitter, grid, y, k=3, seed=6)
+        want = grid_search_cv(linear_fitter(X, Fs, y), grid, y, k=3, seed=6)
         assert got.table == want.table
         assert got.best_params == want.best_params
         assert all(math.isfinite(mean) for _, mean, _ in got.table)
@@ -362,8 +367,8 @@ class TestBatchFallback:
         X, Fs, y = self.make_data()
         calls = []
 
-        def fitter(Xtr, Fstr, ytr, Xt, Ft):
-            predict = linear_fitter(Xtr, Fstr, ytr, Xt, Ft)
+        def fitter(train, test):
+            predict = linear_fitter(X, Fs, y)(train, test)
 
             def flaky_predict(points):
                 calls.append([params["shrink"] for params in points])
@@ -373,7 +378,7 @@ class TestBatchFallback:
 
             return flaky_predict
 
-        res = grid_search_cv(fitter, grid, X, Fs, y, k=3, seed=6)
+        res = grid_search_cv(fitter, grid, y, k=3, seed=6)
         assert calls == [[1e-3, 0.1, 1.0], [1e-3], [0.1], [1.0],
                          [1e-3, 1.0], [1e-3, 1.0]]
         assert [mean == math.inf for _, mean, _ in res.table] == [False, True, False]
@@ -383,13 +388,13 @@ class TestBatchFallback:
     def test_nan_mean_is_never_best(self):
         X, Fs, y = self.make_data()
 
-        def fitter(Xtr, Fstr, ytr, Xt, Ft):
+        def fitter(train, test):
             def predict(points):
-                return np.array([np.full(len(Xt), params["v"]) for params in points])
+                return np.array([np.full(len(test), params["v"]) for params in points])
             return predict
 
-        res = grid_search_cv(fitter, Grid(v=[np.nan, 5.0, 0.0, np.nan]), X, Fs, y, k=3, seed=1)
+        res = grid_search_cv(fitter, Grid(v=[np.nan, 5.0, 0.0, np.nan]), y, k=3, seed=1)
         assert [math.isnan(mean) for _, mean, _ in res.table] == [True, False, False, True]
         assert res.best_params == {"v": 0.0}
-        res = grid_search_cv(fitter, Grid(v=[np.inf, np.nan]), X, Fs, y, k=3, seed=1)
+        res = grid_search_cv(fitter, Grid(v=[np.inf, np.nan]), y, k=3, seed=1)
         assert res.best_params == {"v": np.inf}
