@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, _as_samples, gram
 from .solvers import factor_spd, solve_factored, solve_spd
 
 __all__ = [
@@ -123,16 +123,6 @@ def _check_vectors(K1, K2, K3, y, a, b, c):
     for name, K in (("K1", K1), ("K2", K2), ("K3", K3)):
         if K.shape != (n, n):
             raise ValueError(f"{name} must be {n}x{n}, got {K.shape}")
-
-
-def _check_finite(**arrays) -> None:
-    """Raise a ValueError naming the first array that holds a NaN or an
-    infinity, and the first row where it does."""
-    for name, arr in arrays.items():
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            row = np.flatnonzero(bad.reshape(arr.shape[0], -1).any(axis=1))[0]
-            raise ValueError(f"non-finite value in {name} at row {row}")
 
 
 def _combine(K1a, K2b, K3c, d, variant: str) -> np.ndarray:
@@ -345,19 +335,9 @@ def fit(config: FitConfig, X, Fs, y, specs) -> tuple[AffineTLModel, FitTrace]:
     a, b, c drops below ``config.tol`` or ``config.max_iter`` is reached.
     The constrained variant is solved in one shot, without g2's Gram.
     """
-    X = np.asarray(X, dtype=float)
-    Fs = np.asarray(Fs, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim == 1:
-        X = X[:, None]
-    if Fs.ndim == 1:
-        Fs = Fs[:, None]
-    n = y.shape[0]
-    if n < 2:
+    X, Fs, y = _as_samples({"X": X, "Fs": Fs}, {"y": y})
+    if y.shape[0] < 2:
         raise ValueError("need at least two training rows")
-    if X.shape[0] != n or Fs.shape[0] != n:
-        raise ValueError("X, Fs, y must have the same number of rows")
-    _check_finite(X=X, Fs=Fs, y=y)
     specs = tuple(specs)
     (a, b, c, d), trace = _fit_grams(config, *_grams(specs, config.variant, X, Fs), y)
     return AffineTLModel(a, b, c, d, X, Fs, specs, config.variant), trace
@@ -413,17 +393,7 @@ def _fit_grams(config: FitConfig, K1, K2, K3, y):
 
 
 def predict(model: AffineTLModel, Xnew, FsNew) -> np.ndarray:
-    """Predict at new rows using cross-Gram matrices against the training set.
-    A NaN or an infinity in ``Xnew`` or ``FsNew`` is a ValueError naming the
-    array and the row."""
-    Xnew = np.asarray(Xnew, dtype=float)
-    FsNew = np.asarray(FsNew, dtype=float)
-    if Xnew.ndim == 1:
-        Xnew = Xnew[:, None]
-    if FsNew.ndim == 1:
-        FsNew = FsNew[:, None]
-    if Xnew.shape[0] != FsNew.shape[0]:
-        raise ValueError("Xnew and FsNew must have the same number of rows")
-    _check_finite(Xnew=Xnew, FsNew=FsNew)
+    """Predict at new rows using cross-Gram matrices against the training set."""
+    Xnew, FsNew = _as_samples({"Xnew": Xnew, "FsNew": FsNew})
     grams = _grams(model.specs, model.variant, Xnew, FsNew, model.train_X, model.train_Fs)
     return _fitted_values(model.a, model.b, model.c, model.d, *grams, model.variant)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, _as_samples, gram
 from .solvers import ridge_solve
 
 __all__ = [
@@ -31,7 +31,8 @@ __all__ = [
     "fit_baseline",
     "predict_baseline",
     "single_stage_inputs",
-    "scale_target",
+    "stage2_target",
+    "compose",
 ]
 
 KINDS = ("direct", "only_source", "augmented", "htl_offset", "htl_scale")
@@ -52,8 +53,12 @@ def single_stage_inputs(kind: str, X, Fs) -> np.ndarray:
     return np.hstack([X, Fs])
 
 
-def scale_target(y, g1) -> np.ndarray:
-    """The htl_scale stage-2 target y / g1, refused where g1 is near zero."""
+def stage2_target(kind: str, y, g1) -> np.ndarray:
+    """The target of a two-stage kind's x regression, given the stage-1
+    predictions g1: y - g1 for htl_offset, and for htl_scale y / g1, refused
+    where g1 is near zero."""
+    if kind == "htl_offset":
+        return y - g1
     small = np.flatnonzero(np.abs(g1) < _SCALE_GUARD)
     if small.size:
         raise ZeroDivisionError(
@@ -61,6 +66,12 @@ def scale_target(y, g1) -> np.ndarray:
             f"at row {small[0]} (|g1| = {abs(g1[small[0]]):.3e})"
         )
     return y / g1
+
+
+def compose(kind: str, g1, g2) -> np.ndarray:
+    """A two-stage kind's prediction from its stage outputs: g1 + g2 for
+    htl_offset, g1 * g2 for htl_scale."""
+    return g1 + g2 if kind == "htl_offset" else g1 * g2
 
 
 @dataclass
@@ -84,11 +95,7 @@ class BaselineModel:
 
 
 def _fit_krr(spec: KernelSpec, Z, y, shrink: float) -> KRRStage:
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    K = gram(spec, Z)
-    return KRRStage(ridge_solve(K, np.asarray(y, dtype=float), shrink), spec, Z, shrink)
+    return KRRStage(ridge_solve(gram(spec, Z), y, shrink), spec, Z, shrink)
 
 
 def fit_baseline(
@@ -110,44 +117,21 @@ def fit_baseline(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}; expected one of {KINDS}")
-    X = np.asarray(X, dtype=float)
-    Fs = np.asarray(Fs, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim == 1:
-        X = X[:, None]
-    if Fs.ndim == 1:
-        Fs = Fs[:, None]
-    if X.shape[0] != y.shape[0] or Fs.shape[0] != y.shape[0]:
-        raise ValueError("X, Fs, y must have the same number of rows")
-
+    X, Fs, y = _as_samples({"X": X, "Fs": Fs}, {"y": y})
     if kind in _SINGLE_STAGE:
         return BaselineModel(kind, _fit_krr(spec, single_stage_inputs(kind, X, Fs), y, shrink))
 
     if stage2_spec is None or stage2_shrink is None:
         raise ValueError(f"{kind} requires stage2_spec and stage2_shrink")
     stage1 = _fit_krr(spec, Fs, y, shrink)
-    g1 = stage1.predict(Fs)
-    if kind == "htl_offset":
-        z = y - g1
-    else:  # htl_scale
-        z = scale_target(y, g1)
-    stage2 = _fit_krr(stage2_spec, X, z, stage2_shrink)
-    return BaselineModel(kind, stage1, stage2)
+    z = stage2_target(kind, y, stage1.predict(Fs))
+    return BaselineModel(kind, stage1, _fit_krr(stage2_spec, X, z, stage2_shrink))
 
 
 def predict_baseline(model: BaselineModel, Xnew, FsNew) -> np.ndarray:
     """Predict at new rows; composition of stages depends on the kind."""
-    Xnew = np.asarray(Xnew, dtype=float)
-    FsNew = np.asarray(FsNew, dtype=float)
-    if Xnew.ndim == 1:
-        Xnew = Xnew[:, None]
-    if FsNew.ndim == 1:
-        FsNew = FsNew[:, None]
-    if Xnew.shape[0] != FsNew.shape[0]:
-        raise ValueError("Xnew and FsNew must have the same number of rows")
+    Xnew, FsNew = _as_samples({"Xnew": Xnew, "FsNew": FsNew})
     kind = model.kind
     if kind in _SINGLE_STAGE:
         return model.stage1.predict(single_stage_inputs(kind, Xnew, FsNew))
-    g1 = model.stage1.predict(FsNew)
-    g3 = model.stage2.predict(Xnew)
-    return g1 + g3 if kind == "htl_offset" else g1 * g3
+    return compose(kind, model.stage1.predict(FsNew), model.stage2.predict(Xnew))

@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .affine import FitTrace, _check_finite
+from .affine import FitTrace
+from .kernels import _as_samples
 from .model_selection import CALIBRATION_GRID, child_seed, grid_search_cv, pointwise, rmse
 from .solvers import factor_spd, penalized_ls, solve_factored, solve_spd
 
@@ -140,10 +141,9 @@ def _laplacian_eigenbasis(layout: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_olr(fs, y) -> tuple[float, float]:
     """Unregularized least-squares line y ~ alpha0 + alpha1 * fs."""
-    fs = np.asarray(fs, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if fs.shape != y.shape or fs.size < 2:
-        raise ValueError("fs and y must be equal-length vectors with n >= 2")
+    fs, y = _as_samples({}, {"fs": fs, "y": y})
+    if fs.size < 2:
+        raise ValueError("need at least two rows")
     if np.ptp(fs) == 0.0:
         raise ValueError("fs is constant; the slope is unidentifiable")
     F = np.column_stack([np.ones_like(fs), fs])
@@ -158,20 +158,14 @@ def fit_log_difference(X, fs, y, l1: float, l2: float, layout: BlockLayout) -> n
     full model subtracts its x' gamma term instead, so the corresponding
     initializer there is -gamma_diff.
     """
-    X = np.asarray(X, dtype=float)
-    fs = np.asarray(fs, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    X, fs, y = _as_samples({"X": X}, {"fs": fs, "y": y})
     return penalized_ls(X, y - fs, build_fused_penalty(layout, l1, l2))
 
 
 def _check_calibration_inputs(X, fs, y, layout):
-    X = np.asarray(X, dtype=float)
-    fs = np.asarray(fs, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[1] != layout.total:
+    X, fs, y = _as_samples({"X": X}, {"fs": fs, "y": y})
+    if X.shape[1] != layout.total:
         raise ValueError(f"X must be n x {layout.total} for this layout, got {X.shape}")
-    if fs.shape[0] != X.shape[0] or y.shape[0] != X.shape[0]:
-        raise ValueError("X, fs, y must have the same number of rows")
     return X, fs, y
 
 
@@ -264,7 +258,6 @@ def fit_calibration(
     X, fs, y = _check_calibration_inputs(X, fs, y, layout)
     if y.shape[0] < 3:
         raise ValueError("need at least three rows")
-    _check_finite(X=X, fs=fs, y=y)
     if not 0.0 < l_beta < np.inf:
         raise ValueError(f"l_beta must be positive and finite, got {l_beta}")
     if not (tol > 0 and max_iter >= 1):
@@ -300,16 +293,10 @@ def fit_calibration(
 
 
 def predict_calibration(model: CalibrationModel, X, fs) -> np.ndarray:
-    """alpha0 + alpha1 fs - (beta fs + 1) o (X gamma), elementwise.  A NaN
-    or an infinity in ``X`` or ``fs`` is a ValueError naming the array and
-    the row."""
-    X = np.asarray(X, dtype=float)
-    fs = np.asarray(fs, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[1] != model.gamma.shape[0]:
+    """alpha0 + alpha1 fs - (beta fs + 1) o (X gamma), elementwise."""
+    X, fs = _as_samples({"X": X}, {"fs": fs})
+    if X.shape[1] != model.gamma.shape[0]:
         raise ValueError(f"X must have {model.gamma.shape[0]} columns, got {X.shape}")
-    if fs.shape[0] != X.shape[0]:
-        raise ValueError("X and fs must have the same number of rows")
-    _check_finite(X=X, fs=fs)
     return model.alpha0 + model.alpha1 * fs - (model.beta * fs + 1.0) * (X @ model.gamma)
 
 

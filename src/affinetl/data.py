@@ -7,8 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .affine import _check_finite
 from .calibration import BlockLayout, default_layout
+from .kernels import _as_samples
 
 __all__ = [
     "Dataset",
@@ -40,15 +40,7 @@ class Dataset:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.Fs = np.atleast_2d(np.asarray(self.Fs, dtype=float))
-        self.y = np.asarray(self.y, dtype=float).ravel()
-        n = self.y.shape[0]
-        if self.X.shape[0] != n or self.Fs.shape[0] != n:
-            raise ValueError(
-                f"row mismatch: X {self.X.shape[0]}, Fs {self.Fs.shape[0]}, y {n}"
-            )
-        _check_finite(X=self.X, Fs=self.Fs, y=self.y)
+        self.X, self.Fs, self.y = _as_samples({"X": self.X, "Fs": self.Fs}, {"y": self.y})
         if not self.x_names:
             self.x_names = [f"x{i}" for i in range(self.X.shape[1])]
         if not self.fs_names:

@@ -59,14 +59,36 @@ class KernelSpec:
 
 
 def _as_matrix(X) -> np.ndarray:
+    """``X`` as a float matrix whose rows are samples; a 1-d array is one column."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
         raise ValueError("sample set must be a 2-d array (rows are samples)")
-    if X.shape[0] == 0:
-        raise ValueError("empty sample set")
     return X
+
+
+def _as_samples(matrices: dict, vectors: dict | None = None) -> list[np.ndarray]:
+    """The row-aligned samples given to a public entry point, checked once.
+
+    ``matrices`` and ``vectors`` map names to arrays.  Each array becomes
+    float: a matrix as by :func:`_as_matrix`, a vector flattened.  All must
+    have the same number of rows, and a NaN or an infinity is a ValueError
+    naming the array and its first such row.  Returns the matrices, then
+    the vectors, in the order given.
+    """
+    named = {name: _as_matrix(a) for name, a in matrices.items()}
+    for name, a in (vectors or {}).items():
+        named[name] = np.asarray(a, dtype=float).ravel()
+    rows = {name: a.shape[0] for name, a in named.items()}
+    if len(set(rows.values())) > 1:
+        raise ValueError("row mismatch: " + ", ".join(f"{k} {n}" for k, n in rows.items()))
+    for name, a in named.items():
+        bad = ~np.isfinite(a)
+        if bad.any():
+            row = np.flatnonzero(bad.reshape(a.shape[0], -1).any(axis=1))[0]
+            raise ValueError(f"non-finite value in {name} at row {row}")
+    return list(named.values())
 
 
 def _distances(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -136,6 +158,8 @@ def gram(spec: KernelSpec, X, X2=None) -> np.ndarray:
     X = _as_matrix(X)
     symmetric = X2 is None
     X2m = X if symmetric else _as_matrix(X2)
+    if X.shape[0] == 0 or X2m.shape[0] == 0:
+        raise ValueError("empty sample set")
     if X.shape[1] != X2m.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {X2m.shape[1]} columns")
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn, kv
 
+from affinetl.benchmark import _block
 from affinetl.kernels import KernelSpec, _distances, eval_kernel, gram
 from affinetl.model_selection import kfold_split
 
@@ -165,10 +166,10 @@ class TestGram:
 
 class TestFoldBlocks:
     """A CV cell builds one Gram on all its rows and every fold slices its
-    training Gram and cross-Gram from it.  The slices must be the Grams a
-    fold would build from its own rows: bit for bit for the distance
-    kernels, whose entries are each computed from one pair of rows, and to
-    rounding for ``linear``, whose Gram comes from a matrix product."""
+    training Gram and cross-Gram from it with ``_block``.  The slices must
+    be the Grams a fold would build from its own rows: bit for bit for the
+    distance kernels, whose entries are each computed from one pair of rows,
+    and to rounding for ``linear``, whose Gram comes from a matrix product."""
 
     DISTANCE = (("rbf", None), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5),
                 ("matern", math.inf))
@@ -189,13 +190,13 @@ class TestFoldBlocks:
             spec = KernelSpec(family, ell, nu=nu)
             K = gram(spec, X)
             for tr, te in folds:
-                assert np.array_equal(K[np.ix_(tr, tr)], gram(spec, X[tr]))
-                assert np.array_equal(K[np.ix_(te, tr)], gram(spec, X[te], X[tr]))
+                assert np.array_equal(_block(K, tr, tr), gram(spec, X[tr]))
+                assert np.array_equal(_block(K, te, tr), gram(spec, X[te], X[tr]))
         spec = KernelSpec("linear", ell)
         K = gram(spec, X)
         for tr, te in folds:
-            for block, fold in ((K[np.ix_(tr, tr)], gram(spec, X[tr])),
-                                (K[np.ix_(te, tr)], gram(spec, X[te], X[tr]))):
+            for block, fold in ((_block(K, tr, tr), gram(spec, X[tr])),
+                                (_block(K, te, tr), gram(spec, X[te], X[tr]))):
                 assert np.max(np.abs(block - fold)) <= 1e-10 * np.max(np.abs(fold))
 
 
