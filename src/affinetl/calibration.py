@@ -27,6 +27,7 @@ equations, which needs Lambda positive definite, i.e. l1 > 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -132,11 +133,15 @@ def build_fused_penalty(layout: BlockLayout, l1: float, l2: float) -> np.ndarray
     return l1 * np.eye(layout.total) + l2 * _path_laplacian(layout)
 
 
+@functools.lru_cache(maxsize=8)
 def _laplacian_eigenbasis(layout: BlockLayout) -> tuple[np.ndarray, np.ndarray]:
     """(mu, V) with path Laplacian T = V diag(mu) V'; mu is clipped at 0, so
-    l1 + l2 mu >= l1 are the eigenvalues of the penalty with weights l1, l2."""
+    l1 + l2 mu >= l1 are the eigenvalues of the penalty with weights l1, l2.
+    Taken once per layout and shared, so both arrays are read-only."""
     mu, V = np.linalg.eigh(_path_laplacian(layout))
-    return np.maximum(mu, 0.0), V
+    mu = np.maximum(mu, 0.0)
+    mu.flags.writeable = V.flags.writeable = False
+    return mu, V
 
 
 def fit_olr(fs, y) -> tuple[float, float]:

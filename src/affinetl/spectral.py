@@ -21,6 +21,7 @@ from the orthogonal complement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +142,22 @@ def decay_rate(K) -> DecayEstimate:
     return DecayEstimate(min(s, 1.0), used, False)
 
 
+def _draw_frame(rng: np.random.Generator, cfg: OverlapExperimentConfig) -> None:
+    """Draw (and drop) a repeat's random orthonormal frame: the first draw
+    of its generator, independent of d."""
+    rng.standard_normal((cfg.ambient_dim, cfg.ambient_dim))
+
+
+def _frame_coordinates(rng: np.random.Generator, cfg: OverlapExperimentConfig):
+    """The draws that follow the frame: x-coefficients, fs-coefficients,
+    then the shared directions, the only draw that depends on d."""
+    k = cfg.n_bases
+    coeff_x = rng.standard_normal((cfg.n_samples, k))
+    coeff_fs = rng.standard_normal((cfg.n_samples, k))
+    shared = rng.choice(k, size=cfg.d, replace=False)
+    return coeff_x, np.hstack([coeff_x[:, shared], coeff_fs[:, : k - cfg.d]])
+
+
 def _overlap_coordinates(rng: np.random.Generator, cfg: OverlapExperimentConfig):
     """One repeat's (X, Fs) sample pair at overlap level cfg.d, in frame
     coordinates.
@@ -161,28 +178,48 @@ def _overlap_coordinates(rng: np.random.Generator, cfg: OverlapExperimentConfig)
     x-coefficients, fs-coefficients, shared directions) and repeats paired
     across different d share coefficients.
     """
-    k = cfg.n_bases
-    rng.standard_normal((cfg.ambient_dim, cfg.ambient_dim))
-    coeff_x = rng.standard_normal((cfg.n_samples, k))
-    coeff_fs = rng.standard_normal((cfg.n_samples, k))
-    shared = rng.choice(k, size=cfg.d, replace=False)
-    return coeff_x, np.hstack([coeff_x[:, shared], coeff_fs[:, : k - cfg.d]])
+    _draw_frame(rng, cfg)
+    return _frame_coordinates(rng, cfg)
+
+
+@functools.lru_cache(maxsize=1)
+def _x_sides(seed, repeats, ambient_dim, n_bases, n_samples, spec3) -> list:
+    """One slot per repeat for what the repeat's x side makes independent of
+    d: the generator state right after the frame draw, and K3's decay
+    estimate.  The first level to run a repeat fills its slot; later levels
+    of the same x-side configuration resume the generator there and reuse
+    the estimate.  Only the latest configuration is kept."""
+    return [None] * repeats
 
 
 def run_overlap_experiment(cfg: OverlapExperimentConfig) -> list[OverlapRow]:
     """Decay rates of K2, K3, and K2 o K3 across seeded repeats.
 
     Gram matrices are normalized by 1/n before the estimate.  Repeat r uses
-    generator seed ``cfg.seed + r``, independent of d.
+    generator seed ``cfg.seed + r``, independent of d.  Calls that differ
+    only in d and spec2 (one level at a time of a sweep) share the x side:
+    each repeat's frame is drawn and K3's spectrum taken once.
     """
+    x_sides = _x_sides(cfg.seed, cfg.repeats, cfg.ambient_dim, cfg.n_bases,
+                       cfg.n_samples, cfg.spec3)
     rows = []
+    n = cfg.n_samples
     for r in range(cfg.repeats):
         rng = np.random.default_rng(cfg.seed + r)
-        X, Fs = _overlap_coordinates(rng, cfg)
-        n = cfg.n_samples
+        slot = x_sides[r]
+        if slot is None:
+            _draw_frame(rng, cfg)
+            after_frame = rng.bit_generator.state
+        else:
+            after_frame, e3 = slot
+            rng.bit_generator.state = after_frame
+        X, Fs = _frame_coordinates(rng, cfg)
         K2 = gram(cfg.spec2, Fs) / n
         K3 = gram(cfg.spec3, X) / n
-        e2, e3, eh = decay_rate(K2), decay_rate(K3), decay_rate(K2 * K3)
+        if slot is None:
+            e3 = decay_rate(K3)
+            x_sides[r] = (after_frame, e3)
+        e2, eh = decay_rate(K2), decay_rate(K2 * K3)
         rows.append(OverlapRow(cfg.d, r, e2.s, e3.s, eh.s,
                                e2.floor_applied, e3.floor_applied, eh.floor_applied))
     return rows

@@ -190,6 +190,31 @@ class TestBuildFusedPenalty:
         assert np.max(np.abs(lam @ np.r_[np.ones(10), np.zeros(180)])) == 0.0
 
 
+class TestLaplacianEigenbasis:
+    def test_cached_per_layout_and_read_only(self):
+        calibration._laplacian_eigenbasis.cache_clear()
+        mu, V = calibration._laplacian_eigenbasis(BlockLayout((("a", 4), ("b", 2))))
+        again = calibration._laplacian_eigenbasis(BlockLayout((("a", 4), ("b", 2))))
+        assert again[0] is mu and again[1] is V
+        for array in (mu, V):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_one_eigh_per_layout_across_splits(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(A):
+            calls.append(A.shape)
+            return eigh(A)
+
+        calibration._laplacian_eigenbasis.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        ds = synth_dataset("calibration", 80, 190, 0.05, seed=2)
+        run_calibration_experiment(ds, seed=2, splits=2)
+        assert calls == [(190, 190)]
+
+
 class TestFitOLR:
     def test_exact_line(self):
         fs = np.linspace(0, 5, 30)

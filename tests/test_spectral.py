@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from affinetl import spectral
 from affinetl.kernels import KernelSpec, gram
 from affinetl.spectral import (
     OverlapExperimentConfig,
@@ -270,3 +273,79 @@ class TestOverlapExperiment:
             assert (row.s2_floored, row.s3_floored, row.s_hadamard_floored) == tuple(
                 e.floor_applied for e in estimates)
             assert row.s2_floored and not row.s3_floored
+
+
+class TestXSideCache:
+    """Levels of one sweep share each repeat's frame draw and K3 estimate
+    through a one-entry cache; no call order may change a row."""
+
+    BASE = OverlapExperimentConfig(d=0, ambient_dim=24, n_bases=6, n_samples=12,
+                                   repeats=3, seed=20)
+
+    @staticmethod
+    def fresh(cfg):
+        spectral._x_sides.cache_clear()
+        return run_overlap_experiment(cfg)
+
+    @pytest.mark.parametrize("levels", [(7, 0, 10), (0, 10, 7), (10, 7, 0)])
+    def test_rows_do_not_depend_on_level_order(self, levels):
+        cfg = OverlapExperimentConfig(d=0, n_samples=30, repeats=4, seed=3)
+        want = {d: self.fresh(dataclasses.replace(cfg, d=d)) for d in levels}
+        spectral._x_sides.cache_clear()
+        for d in levels:
+            assert run_overlap_experiment(dataclasses.replace(cfg, d=d)) == want[d]
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=21),
+        dict(repeats=2),
+        dict(repeats=5),
+        dict(spec3=KernelSpec("linear", 1.0)),
+        dict(spec3=KernelSpec("rbf", 2.0)),
+        dict(ambient_dim=30),
+        dict(n_samples=15),
+    ], ids=["seed", "fewer_repeats", "more_repeats", "spec3_family", "spec3_scale",
+            "ambient_dim", "n_samples"])
+    def test_alternating_configs_never_read_stale_rates(self, change):
+        configs = [self.BASE, dataclasses.replace(self.BASE, **change)]
+        want = [[self.fresh(dataclasses.replace(cfg, d=d)) for d in (0, 4)]
+                for cfg in configs]
+        spectral._x_sides.cache_clear()
+        for _ in range(2):
+            for cfg, rows in zip(configs, want):
+                for d, level_rows in zip((0, 4), rows):
+                    assert run_overlap_experiment(dataclasses.replace(cfg, d=d)) == level_rows
+                    assert spectral._x_sides.cache_info().currsize <= 1
+
+    def test_spec2_is_not_part_of_the_key(self):
+        cfg = dataclasses.replace(self.BASE, d=2, spec2=KernelSpec("matern", 1.0, nu=2.5))
+        want = self.fresh(cfg)
+        spectral._x_sides.cache_clear()
+        run_overlap_experiment(dataclasses.replace(self.BASE, d=2))
+        assert run_overlap_experiment(cfg) == want
+        assert spectral._x_sides.cache_info().hits == 1
+
+    def test_sweep_takes_each_k3_spectrum_once(self, monkeypatch):
+        # the first level takes K2, K3 and K2 o K3 per repeat; the other ten
+        # reuse K3's estimate: 3R + 20R spectra instead of 33R
+        calls = []
+        eigvals = spectral.eigvals_desc
+
+        def counting(K):
+            calls.append(K.shape)
+            return eigvals(K)
+
+        monkeypatch.setattr(spectral, "eigvals_desc", counting)
+        cfg = dataclasses.replace(self.BASE, repeats=4)
+        spectral._x_sides.cache_clear()
+        for d in range(cfg.n_bases + 1):
+            run_overlap_experiment(dataclasses.replace(cfg, d=d))
+        assert len(calls) == 3 * 4 + 2 * 4 * cfg.n_bases
+
+    def test_cache_holds_no_arrays(self):
+        spectral._x_sides.cache_clear()
+        run_overlap_experiment(self.BASE)
+        slots = spectral._x_sides(self.BASE.seed, self.BASE.repeats, self.BASE.ambient_dim,
+                                  self.BASE.n_bases, self.BASE.n_samples, self.BASE.spec3)
+        assert len(slots) == self.BASE.repeats
+        for state, estimate in slots:
+            assert isinstance(state, dict) and isinstance(estimate, spectral.DecayEstimate)
