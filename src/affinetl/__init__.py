@@ -13,7 +13,7 @@ from .calibration import (
     predict_calibration,
 )
 from .data import Dataset, load_csv, load_sarcos, synth_dataset
-from .kernels import KernelSpec, eval_kernel, gram
+from .kernels import KernelSpec, gram
 from .model_selection import Grid, CVResult, grid_search_cv, kfold_split, rmse
 from .solvers import SingularSystemError, penalized_ls, ridge_solve
 from .spectral import DecayEstimate, OverlapExperimentConfig, decay_rate, eigvals_desc, run_overlap_experiment

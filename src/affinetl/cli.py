@@ -66,24 +66,23 @@ def _read_data_file(path, args) -> Dataset:
 
 
 def _load_dataset(args) -> Dataset:
-    if getattr(args, "synth", None):
+    if args.synth:
         return synth_dataset(args.synth, args.n, args.dims, args.noise_sd, args.seed)
     if not args.data:
         raise ValueError("provide --data PATH or --synth KIND")
     return _read_data_file(args.data, args)
 
 
-def _add_dataset_args(sub, with_synth: bool = True) -> None:
+def _add_dataset_args(sub) -> None:
     sub.add_argument("--data", help="input data file")
     sub.add_argument("--format", choices=("csv", "sarcos"), default="csv",
                      help="input file format (default csv)")
     sub.add_argument("--target-joint", type=int, default=1,
                      help="torque column to predict for sarcos format (1..7)")
-    if with_synth:
-        sub.add_argument("--synth", choices=SYNTH_KINDS, help="generate data instead of loading")
-        sub.add_argument("--n", type=int, default=200, help="synthetic sample count")
-        sub.add_argument("--dims", type=int, default=3, help="synthetic input dimension")
-        sub.add_argument("--noise-sd", type=float, default=0.1, help="synthetic noise level")
+    sub.add_argument("--synth", choices=SYNTH_KINDS, help="generate data instead of loading")
+    sub.add_argument("--n", type=int, default=200, help="synthetic sample count")
+    sub.add_argument("--dims", type=int, default=3, help="synthetic input dimension")
+    sub.add_argument("--noise-sd", type=float, default=0.1, help="synthetic noise level")
 
 
 def _cmd_synth(args) -> int:

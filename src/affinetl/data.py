@@ -14,7 +14,6 @@ __all__ = [
     "Dataset",
     "SYNTH_KINDS",
     "load_sarcos",
-    "save_sarcos",
     "load_csv",
     "save_csv",
     "load_calibration_csv",
@@ -99,15 +98,6 @@ def load_sarcos(path, target_joint: int) -> Dataset:
         y_name=f"torque{target_joint}",
         metadata={"target_joint": int(target_joint)},
     )
-
-
-def save_sarcos(path, X, torques):
-    """Write a 28-column torque table (inputs then 7 torques), full precision."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    torques = np.atleast_2d(np.asarray(torques, dtype=float))
-    if X.shape[1] != 21 or torques.shape[1] != 7 or X.shape[0] != torques.shape[0]:
-        raise ValueError("expected X with 21 columns and torques with 7, row-aligned")
-    np.savetxt(path, np.hstack([X, torques]), fmt=_FLOAT_FMT, delimiter=",")
 
 
 def save_csv(ds: Dataset, path):

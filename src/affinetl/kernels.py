@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "eval_kernel", "gram"]
+__all__ = ["KernelSpec", "gram"]
 
 _MATERN_NUS = (0.5, 1.5, 2.5, math.inf)
 
@@ -133,19 +133,6 @@ def _apply_distance_kernel(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         s5 = math.sqrt(5.0) * t
         return (1.0 + s5 + (5.0 / 3.0) * t * t) * np.exp(-s5)
     raise AssertionError(f"unreachable nu: {nu}")
-
-
-def eval_kernel(spec: KernelSpec, x, x2) -> float:
-    """Evaluate k(x, x2) for a single pair of vectors."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x.shape != x2.shape or x.ndim != 1:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {x2.shape}")
-    if spec.family == "linear":
-        g = spec.length_scale
-        return float(x @ x2 / (2.0 * g * g) + 1.0)
-    r = np.sqrt(max(float(np.sum((x - x2) ** 2)), 0.0))
-    return float(_apply_distance_kernel(spec, np.asarray(r)))
 
 
 def gram(spec: KernelSpec, X, X2=None) -> np.ndarray:

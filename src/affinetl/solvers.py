@@ -134,16 +134,16 @@ def solve_spd(A, b, info: dict | None = None) -> np.ndarray:
     return solve_factored(factor_spd(A, info), b)
 
 
-def ridge_solve(K, y, shrink: float, info: dict | None = None) -> np.ndarray:
+def ridge_solve(K, y, shrink: float) -> np.ndarray:
     """Solve (K + shrink * I) c = y for symmetric K and shrink >= 0."""
     K = _sym(K)
     if shrink < 0:
         raise ValueError(f"shrink must be nonnegative, got {shrink}")
     A = K if shrink == 0 else K + shrink * np.eye(K.shape[0])
-    return solve_spd(A, y, info=info)
+    return solve_spd(A, y)
 
 
-def penalized_ls(X, y, penalty, info: dict | None = None) -> np.ndarray:
+def penalized_ls(X, y, penalty) -> np.ndarray:
     """Minimize ||y - X w||^2 + w^T penalty w, i.e. (X^T X + penalty)^{-1} X^T y."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -154,4 +154,4 @@ def penalized_ls(X, y, penalty, info: dict | None = None) -> np.ndarray:
     P = np.asarray(penalty, dtype=float)
     if P.shape != (X.shape[1], X.shape[1]):
         raise ValueError(f"penalty must be {X.shape[1]}x{X.shape[1]}, got {P.shape}")
-    return solve_spd(X.T @ X + P, X.T @ y, info=info)
+    return solve_spd(X.T @ X + P, X.T @ y)

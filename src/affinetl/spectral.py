@@ -143,43 +143,39 @@ def decay_rate(K) -> DecayEstimate:
 
 
 def _draw_frame(rng: np.random.Generator, cfg: OverlapExperimentConfig) -> None:
-    """Draw (and drop) a repeat's random orthonormal frame: the first draw
-    of its generator, independent of d."""
+    """Draw (and drop) a repeat's random orthonormal frame of the ambient
+    space: the first draw of its generator, independent of d.
+
+    Every kernel family sees samples only through distances and inner
+    products, which an orthonormal frame preserves, so the samples are
+    built in frame coordinates (:func:`_frame_coordinates`) and the frame
+    itself is never used.  It is still drawn, so the generator stream is
+    that of the ambient construction (frame, x-coefficients,
+    fs-coefficients, shared directions) and repeats paired across
+    different d share coefficients.
+    """
     rng.standard_normal((cfg.ambient_dim, cfg.ambient_dim))
 
 
 def _frame_coordinates(rng: np.random.Generator, cfg: OverlapExperimentConfig):
-    """The draws that follow the frame: x-coefficients, fs-coefficients,
-    then the shared directions, the only draw that depends on d."""
+    """One repeat's (X, Fs) sample pair at overlap level cfg.d, in frame
+    coordinates, from the draws that follow the frame: x-coefficients,
+    fs-coefficients, then the shared directions, the only draw that
+    depends on d.
+
+    Sample i of x places i.i.d. normal coefficients on the first n_bases
+    directions of the frame; sample i of fs reuses x's coefficients on d of
+    those directions and places fresh i.i.d. coefficients on n_bases - d
+    directions from their orthogonal complement.  The reuse is what couples
+    the two Gram matrices: without it the pair (K2, K3) would not depend on
+    d at all.  x is returned as its n_bases coefficients, fs as its d
+    shared coefficients followed by its n_bases - d fresh ones.
+    """
     k = cfg.n_bases
     coeff_x = rng.standard_normal((cfg.n_samples, k))
     coeff_fs = rng.standard_normal((cfg.n_samples, k))
     shared = rng.choice(k, size=cfg.d, replace=False)
     return coeff_x, np.hstack([coeff_x[:, shared], coeff_fs[:, : k - cfg.d]])
-
-
-def _overlap_coordinates(rng: np.random.Generator, cfg: OverlapExperimentConfig):
-    """One repeat's (X, Fs) sample pair at overlap level cfg.d, in frame
-    coordinates.
-
-    Sample i of x places i.i.d. normal coefficients on the first n_bases
-    directions of a random orthonormal frame of the ambient space; sample i
-    of fs reuses x's coefficients on d of those directions and places fresh
-    i.i.d. coefficients on n_bases - d directions from their orthogonal
-    complement.  The reuse is what couples the two Gram matrices: without
-    it the pair (K2, K3) would not depend on d at all.
-
-    Every kernel family sees samples only through distances and inner
-    products, which an orthonormal frame preserves, so the samples are
-    returned as their coefficients on the directions they use: x as its
-    n_bases coefficients, fs as its d shared coefficients followed by its
-    n_bases - d fresh ones.  The frame is still drawn (and dropped), so the
-    generator stream is that of the ambient construction (frame,
-    x-coefficients, fs-coefficients, shared directions) and repeats paired
-    across different d share coefficients.
-    """
-    _draw_frame(rng, cfg)
-    return _frame_coordinates(rng, cfg)
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,4 +1,5 @@
-"""Shared numeric oracles and property-test settings for the test suite.
+"""Shared numeric oracles, property-test settings and fixture writers for
+the test suite.
 
 The block objectives in this library are exactly quadratic in each block, so
 finite differences with a wide step are exact for them up to roundoff.  The
@@ -53,6 +54,12 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         xm[i] -= h
         g[i] = (f(xp) - f(xm)) / (2 * h)
     return g
+
+
+def write_sarcos(path, X, torques):
+    """Write a 28-column torque table (21 inputs, then 7 torques) at full
+    precision, comma-delimited."""
+    np.savetxt(path, np.hstack([X, torques]), fmt="%.17g", delimiter=",")
 
 
 @pytest.fixture

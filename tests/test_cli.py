@@ -16,6 +16,8 @@ from affinetl.data import load_csv, synth_dataset
 from affinetl.kernels import KernelSpec
 from affinetl.spectral import OverlapExperimentConfig, run_overlap_experiment
 
+from conftest import write_sarcos
+
 
 def read_table(path):
     with open(path) as fh:
@@ -206,12 +208,10 @@ class TestBenchmarkCommand:
 
     def test_sarcos_format_with_test_file(self, tmp_path):
         rng = np.random.default_rng(12)
-        from affinetl.data import save_sarcos
-
         train = tmp_path / "train.csv"
         test = tmp_path / "test.csv"
-        save_sarcos(train, rng.normal(size=(40, 21)), rng.normal(size=(40, 7)))
-        save_sarcos(test, rng.normal(size=(15, 21)), rng.normal(size=(15, 7)))
+        write_sarcos(train, rng.normal(size=(40, 21)), rng.normal(size=(40, 7)))
+        write_sarcos(test, rng.normal(size=(15, 21)), rng.normal(size=(15, 7)))
         out_dir = tmp_path / "out"
         code = main(["benchmark", "--data", str(train), "--test-data", str(test),
                      "--format", "sarcos", "--target-joint", "7", "--seed", "5",

@@ -11,11 +11,12 @@ from affinetl.data import (
     load_csv,
     load_sarcos,
     save_csv,
-    save_sarcos,
     synth_dataset,
 )
 from affinetl.kernels import KernelSpec
 from affinetl.model_selection import rmse
+
+from conftest import write_sarcos
 
 
 class TestDataset:
@@ -53,7 +54,7 @@ class TestSarcosIO:
         rng = np.random.default_rng(1)
         X, torques = self.make_table(rng)
         path = tmp_path / "arm.csv"
-        save_sarcos(path, X, torques)
+        write_sarcos(path, X, torques)
         ds = load_sarcos(path, target_joint=1)
         assert ds.X.shape == (10, 21)
         assert ds.Fs.shape == (10, 6)
@@ -65,7 +66,7 @@ class TestSarcosIO:
         rng = np.random.default_rng(2)
         X, torques = self.make_table(rng)
         path = tmp_path / "arm.csv"
-        save_sarcos(path, X, torques)
+        write_sarcos(path, X, torques)
         with pytest.raises(ValueError):
             load_sarcos(path, target_joint=8)
         with pytest.raises(ValueError):
@@ -75,9 +76,9 @@ class TestSarcosIO:
         rng = np.random.default_rng(3)
         X, torques = self.make_table(rng)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_sarcos(p1, X, torques)
+        write_sarcos(p1, X, torques)
         ds = load_sarcos(p1, target_joint=1)
-        save_sarcos(p2, ds.X, np.column_stack([ds.y, ds.Fs]))
+        write_sarcos(p2, ds.X, np.column_stack([ds.y, ds.Fs]))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_whitespace_delimited(self, tmp_path):

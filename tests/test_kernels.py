@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn, kv
 
 from affinetl.benchmark import _block
-from affinetl.kernels import KernelSpec, _distances, eval_kernel, gram
+from affinetl.kernels import KernelSpec, _distances, gram
 from affinetl.model_selection import kfold_split
 
 from conftest import same_examples
+
+
+def eval_kernel(spec, x, x2):
+    """k(x, x2) for one pair of vectors, read from a one-row cross-Gram."""
+    return float(gram(spec, x[None], x2[None])[0, 0])
 
 
 def bessel_matern(nu, r, ell):
@@ -133,7 +138,9 @@ class TestGram:
         K = gram(spec, X, X2)
         for i in range(4):
             for j in range(6):
-                assert K[i, j] == pytest.approx(eval_kernel(spec, X[i], X2[j]), abs=1e-14)
+                assert K[i, j] == eval_kernel(spec, X[i], X2[j])
+                r = float(np.linalg.norm(X[i] - X2[j]))
+                assert K[i, j] == pytest.approx(math.exp(-r / 1.1), abs=1e-14)
 
     def test_empty_sample_set(self):
         with pytest.raises(ValueError):

@@ -188,9 +188,7 @@ class TestRidgeSolve:
         # which is singular; shrink 0 still solves via the jitter retries
         K = np.ones((3, 3))
         y = K @ np.ones(3)
-        info = {}
-        c = ridge_solve(K, y, 0.0, info=info)
-        assert info["jitter"] > 0
+        c = ridge_solve(K, y, 0.0)
         assert np.max(np.abs(K @ c - y)) < 1e-6
 
     def test_gram_input_object(self):

@@ -7,7 +7,8 @@ from affinetl import spectral
 from affinetl.kernels import KernelSpec, gram
 from affinetl.spectral import (
     OverlapExperimentConfig,
-    _overlap_coordinates,
+    _draw_frame,
+    _frame_coordinates,
     decay_rate,
     eigvals_desc,
     run_overlap_experiment,
@@ -31,6 +32,14 @@ def ambient_overlap_samples(rng, cfg):
     X = coeff_x @ Q[:, :k].T
     Fs = coeff_x[:, shared] @ Q[:, shared].T + coeff_fs[:, : k - d] @ Q[:, extra].T
     return X, Fs, (Q, coeff_x, coeff_fs, shared, extra)
+
+
+def oracle_coordinates(rng, cfg):
+    """The oracle's samples in frame coordinates: x as its n_bases
+    coefficients, fs as its d shared coefficients then its n_bases - d
+    fresh ones."""
+    _, _, (_, coeff_x, coeff_fs, shared, _) = ambient_overlap_samples(rng, cfg)
+    return coeff_x, np.hstack([coeff_x[:, shared], coeff_fs[:, : cfg.n_bases - cfg.d]])
 
 
 def ambient_rows(cfg):
@@ -176,7 +185,7 @@ class TestOverlapExperiment:
         X, Fs, _ = ambient_overlap_samples(np.random.default_rng(5), cfg)
         assert np.max(np.abs(X - Fs)) <= 1e-12
         spec = KernelSpec("rbf", np.sqrt(10.0))
-        X, Fs = _overlap_coordinates(np.random.default_rng(5), cfg)
+        X, Fs = oracle_coordinates(np.random.default_rng(5), cfg)
         assert np.max(np.abs(gram(spec, X) - gram(spec, Fs))) <= 1e-12
 
     @pytest.mark.parametrize("ambient_dim", [12, 100])
@@ -185,11 +194,12 @@ class TestOverlapExperiment:
         cfg = OverlapExperimentConfig(d=d, ambient_dim=ambient_dim, n_bases=6,
                                       n_samples=9, repeats=1)
         for seed in range(3):
-            X, Fs = _overlap_coordinates(np.random.default_rng(seed), cfg)
-            _, _, (_, coeff_x, coeff_fs, shared, _) = ambient_overlap_samples(
-                np.random.default_rng(seed), cfg)
-            assert np.array_equal(X, coeff_x)
-            assert np.array_equal(Fs, np.hstack([coeff_x[:, shared], coeff_fs[:, :6 - d]]))
+            rng = np.random.default_rng(seed)
+            _draw_frame(rng, cfg)
+            X, Fs = _frame_coordinates(rng, cfg)
+            want_X, want_Fs = oracle_coordinates(np.random.default_rng(seed), cfg)
+            assert np.array_equal(X, want_X)
+            assert np.array_equal(Fs, want_Fs)
 
     @pytest.mark.parametrize("spec", [
         KernelSpec("rbf", np.sqrt(10.0)),
@@ -253,7 +263,7 @@ class TestOverlapExperiment:
                                       spec2=spec, spec3=spec, seed=11)
         row = run_overlap_experiment(cfg)[0]
         rng = np.random.default_rng(11)
-        X, Fs = _overlap_coordinates(rng, cfg)
+        X, Fs = oracle_coordinates(rng, cfg)
         K2 = gram(spec, Fs) / 10
         K3 = gram(spec, X) / 10
         assert row.s_hadamard == decay_rate(K2 * K3).s
@@ -265,7 +275,7 @@ class TestOverlapExperiment:
                                       repeats=2, spec2=KernelSpec("linear", 1e6), seed=15)
         rows = run_overlap_experiment(cfg)
         for r, row in enumerate(rows):
-            X, Fs = _overlap_coordinates(np.random.default_rng(cfg.seed + r), cfg)
+            X, Fs = oracle_coordinates(np.random.default_rng(cfg.seed + r), cfg)
             K2 = gram(cfg.spec2, Fs) / 10
             K3 = gram(cfg.spec3, X) / 10
             estimates = [decay_rate(K) for K in (K2, K3, K2 * K3)]
